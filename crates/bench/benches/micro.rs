@@ -383,6 +383,70 @@ fn bench_join_order(c: &mut Criterion) {
     }
 }
 
+/// Single-row writes and a repeated point query against a 30,000-row,
+/// three-`Int`-column relation `T(a, b, c)`. A delta epoch copies only
+/// the relation's leaf pointers and the one leaf the row lands in, and
+/// moves the stats and content digest forward by one row, so each
+/// `delta_apply/*` iteration pays O(leaves) pointer copies plus one
+/// leaf copy. `scan_image/point_query_r30k` runs the same keyed query
+/// over and over with the result cache off: the relation's column image
+/// is built once for the version, not on every execution. Each sample
+/// starts from a fresh engine (untimed), so the table holds 30,000 rows
+/// at the start of every sample.
+fn bench_delta_apply(c: &mut Criterion) {
+    use rd_core::{Database, Relation, Tuple};
+    use rd_engine::{EngineShared, Language, QueryRequest, Session, SharedConfig};
+    use std::sync::Arc;
+
+    const ROWS: i64 = 30_000;
+    let mut db = Database::new();
+    db.add_relation(
+        Relation::from_rows(
+            TableSchema::new("T", ["a", "b", "c"]),
+            (0..ROWS).map(|i| [i, i % 97, i % 13]),
+        )
+        .unwrap(),
+    );
+    let engine = || {
+        EngineShared::with_config(
+            db.clone(),
+            SharedConfig {
+                eval_cache: false,
+                shards: 1,
+                ..SharedConfig::default()
+            },
+        )
+    };
+    let row = |i: i64| [Tuple::new([i, i % 97, i % 13])];
+
+    c.bench_function("delta_apply/insert_r30k", |b| {
+        let shared = engine();
+        let mut next = ROWS;
+        b.iter(|| {
+            next += 1;
+            shared.insert_rows("T", &row(next)).unwrap()
+        })
+    });
+    c.bench_function("delta_apply/delete_r30k", |b| {
+        let shared = engine();
+        let mut next = 0;
+        b.iter(|| {
+            next += 7;
+            shared.delete_rows("T", &row(next % ROWS)).unwrap()
+        })
+    });
+
+    let mut session = Session::attach(Arc::new(engine()));
+    let req = QueryRequest::new(
+        Language::Sql,
+        "SELECT DISTINCT T.b FROM T WHERE T.a = 12345",
+    );
+    assert_eq!(session.run(&req).unwrap().relation.len(), 1);
+    c.bench_function("scan_image/point_query_r30k", |b| {
+        b.iter(|| session.run(black_box(&req)).unwrap())
+    });
+}
+
 fn bench_patterns(c: &mut Criterion) {
     if smoke() {
         return;
@@ -410,6 +474,6 @@ criterion_group! {
     config = config();
     targets = bench_parse, bench_translate, bench_diagram, bench_eval, bench_eval_strings,
         bench_plan_cache, bench_tracing_overhead, bench_delta_mutation_cache, bench_join_order,
-        bench_patterns
+        bench_delta_apply, bench_patterns
 }
 criterion_main!(benches);

@@ -2,9 +2,11 @@
 //! [`exec::execute`](crate::exec::execute).
 //!
 //! Where the tuple executor walks a pipeline one row at a time through a
-//! recursive callback chain, this module materializes each scanned
-//! relation once into column vectors ([`RelData`]), drives the pipeline
-//! over batches of row ids ([`Batch`]) seeded in fixed-size chunks of
+//! recursive callback chain, this module scans relations as column
+//! vectors ([`ColumnImage`]) — a stored relation's image is built once
+//! per relation version and cached in the relation itself, a Datalog
+//! IDB's once per program — drives the pipeline over batches of row ids
+//! ([`Batch`]) seeded in fixed-size chunks of
 //! [`CHUNK_ROWS`] rows, evaluates filters and comparisons over whole
 //! batches with selection vectors, and probes joins through a
 //! [`JoinTable`] — a direct-indexed dense array when every key column is
@@ -37,11 +39,13 @@ use crate::exec::{
     bump_n, eval_cond, record, record_build, Block, Formula, IdbMap, OpNode, Pred, QueryPlan,
     RulePlan, Scan, TallyMap, Term,
 };
+use crate::storage::ColumnImage;
 use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Rows per seed chunk: unkeyed scans feed the pipeline in column
 /// chunks of this many rows, bounding working-set size independently of
@@ -55,55 +59,14 @@ const DENSE_MAX_CAPACITY: u64 = 1 << 20;
 // Columnar relation data
 // ---------------------------------------------------------------------
 
-/// A relation materialized column-major: `cols[c][r]` is row `r`'s value
-/// in column `c`. Built once per execution (or once per program, via
-/// [`RelCache`]) and shared by `Rc` into every batch step that scans it.
-pub(crate) struct RelData {
-    cols: Vec<Vec<Value>>,
-    len: usize,
-}
-
-impl RelData {
-    fn from_tuples<'a>(tuples: impl Iterator<Item = &'a Tuple>, arity: usize) -> RelData {
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
-        let mut len = 0;
-        for t in tuples {
-            for (c, v) in t.iter().enumerate() {
-                cols[c].push(v.clone());
-            }
-            len += 1;
-        }
-        RelData { cols, len }
-    }
-
-    fn from_relation(rel: &Relation) -> RelData {
-        let arity = rel.schema().arity();
-        let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rel.len()); arity];
-        for chunk in rel.column_chunks(CHUNK_ROWS) {
-            for (c, col) in chunk.into_iter().enumerate() {
-                cols[c].extend(col);
-            }
-        }
-        RelData {
-            cols,
-            len: rel.len(),
-        }
-    }
-
-    #[inline]
-    fn value(&self, col: usize, row: u32) -> &Value {
-        &self.cols[col][row as usize]
-    }
-}
-
-/// Columnar materializations shared across one program execution
-/// (sound because EDB tables are immutable for the execution and a
-/// computed IDB never changes once its stratum completes). Keys are
-/// prefixed by source (`e:`/`i:`) so an IDB shadowing a same-named EDB
-/// table mid-program can never serve stale data.
+/// Columnar materializations of the Datalog IDBs one program execution
+/// computes, by predicate (sound because a computed IDB never changes
+/// once its stratum completes). Stored relations need no entry here:
+/// each keeps its own [`ColumnImage`] per version
+/// ([`Relation::column_image`](crate::Relation::column_image)).
 #[derive(Default)]
 pub(crate) struct RelCache {
-    map: HashMap<String, Rc<RelData>>,
+    idbs: HashMap<String, Arc<ColumnImage>>,
 }
 
 // ---------------------------------------------------------------------
@@ -430,7 +393,7 @@ struct Batch {
 /// One bound scan step of a batch: the scanned relation and, per batch
 /// row, which of its rows is bound.
 struct StepRows {
-    rel: Rc<RelData>,
+    rel: Arc<ColumnImage>,
     rows: Vec<u32>,
 }
 
@@ -549,8 +512,8 @@ impl TermRef<'_> {
 // Execution context
 // ---------------------------------------------------------------------
 
-/// Per-execution state of the batched pipeline driver: relation
-/// materializations, lazily-built join tables (one slot per keyed scan
+/// Per-execution state of the batched pipeline driver: the program's
+/// IDB materializations, lazily-built join tables (one slot per keyed scan
 /// or negation probe, like the tuple path's `IndexCache`), and the
 /// optional analyze tally.
 struct BatchCtx<'d, 'c> {
@@ -581,34 +544,27 @@ impl<'d, 'c> BatchCtx<'d, 'c> {
     }
 
     /// The columnar materialization of `rel` (IDB shadows EDB, exactly
-    /// like [`tuples_of`]), built on first use.
-    fn rel_data(&mut self, rel: &str) -> CoreResult<Rc<RelData>> {
-        let key = if self.idbs.contains_key(rel) {
-            format!("i:{rel}")
-        } else {
-            format!("e:{rel}")
+    /// like [`tuples_of`]): a stored relation's cached image, or the
+    /// IDB's, built on first use in this program.
+    fn rel_data(&mut self, rel: &str) -> CoreResult<Arc<ColumnImage>> {
+        let idbs = self.idbs;
+        let Some(rows) = idbs.get(rel) else {
+            return Ok(self.db.require(rel)?.column_image());
         };
-        if let Some(data) = self.cache.map.get(&key) {
-            return Ok(data.clone());
-        }
-        let data = match self.idbs.get(rel) {
-            Some(rows) => {
-                let arity = rows.iter().next().map(Tuple::arity).unwrap_or(0);
-                Rc::new(RelData::from_tuples(rows.iter(), arity))
-            }
-            None => Rc::new(RelData::from_relation(self.db.require(rel)?)),
-        };
-        self.cache.map.insert(key, data.clone());
-        Ok(data)
+        let image = self.cache.idbs.entry(rel.to_string()).or_insert_with(|| {
+            let arity = rows.iter().next().map(Tuple::arity).unwrap_or(0);
+            Arc::new(ColumnImage::of(arity, rows.iter()))
+        });
+        Ok(image.clone())
     }
 
     /// The join table in slot `id` over `rel`'s `cols`, built on first
     /// probe.
-    fn table_for(&mut self, rel: &Rc<RelData>, cols: &[usize], id: usize) -> Rc<JoinTable> {
+    fn table_for(&mut self, rel: &ColumnImage, cols: &[usize], id: usize) -> Rc<JoinTable> {
         if let Some(t) = &self.tables[id] {
             return t.clone();
         }
-        let table = Rc::new(JoinTable::build(rel.len, cols.len(), |r, c| {
+        let table = Rc::new(JoinTable::build(rel.len(), cols.len(), |r, c| {
             rel.value(cols[c], r as u32)
         }));
         self.tables[id] = Some(table.clone());
@@ -711,8 +667,8 @@ fn run_scans(
             Sink::Collect(_) => CHUNK_ROWS,
         };
         let mut start = 0usize;
-        while start < rel.len {
-            let end = (start + chunk).min(rel.len);
+        while start < rel.len() {
+            let end = (start + chunk).min(rel.len());
             chunk = (chunk * 2).min(CHUNK_ROWS);
             let alive: Vec<usize> = (0..batch.len())
                 .filter(|&i| sink.alive(batch.origins[i]))
@@ -735,7 +691,7 @@ fn run_scans(
 }
 
 /// An empty batch shaped like `base` plus one new step scanning `rel`.
-fn expand_empty(base: &Batch, rel: &Rc<RelData>) -> Batch {
+fn expand_empty(base: &Batch, rel: &Arc<ColumnImage>) -> Batch {
     let mut steps: Vec<StepRows> = base
         .steps
         .iter()
@@ -1168,7 +1124,7 @@ pub(crate) fn run_query(
     let idbs = IdbMap::new();
     let mut cache = RelCache::default();
     let mut ctx = BatchCtx::new(db, &idbs, q.shape.indexes, &mut cache, tally.take());
-    let mut out = db.fresh_relation(q.out.clone());
+    let mut rows: Vec<Tuple> = Vec::new();
     // Deferred head validation, vectorized: instead of re-entering the
     // environment with each candidate tuple bound (the tuple path's
     // `venv`), rewrite head-column references to the head's defining
@@ -1180,9 +1136,9 @@ pub(crate) fn run_query(
         .map(|f| subst_formula(f, q.head_slot, &q.defs))
         .filter(|f| !trivially_true(f))
         .collect();
-    // A shadow hash set dedups candidates before touching the ordered
-    // output set: duplicate-heavy projections pay one (FNV) hash lookup
-    // per row instead of an allocation plus a B-tree descent.
+    // A hash set dedups candidates as they stream out: duplicate-heavy
+    // projections pay one (FNV) hash lookup per row instead of an
+    // allocation, and the ordered output set is built once at the end.
     let mut seen: HashSet<Vec<Value>, std::hash::BuildHasherDefault<Fnv>> = HashSet::default();
     let mut scratch: Vec<Value> = Vec::with_capacity(q.defs.len());
     let result = run_pipeline(
@@ -1197,7 +1153,7 @@ pub(crate) fn run_query(
                 scratch.extend(defs.iter().map(|d| d.value(batch, i).clone()));
                 if !seen.contains(&scratch) {
                     seen.insert(scratch.clone());
-                    out.insert(Tuple(scratch.clone()))?;
+                    rows.push(Tuple(scratch.clone()));
                 }
                 Ok(())
             };
@@ -1227,6 +1183,8 @@ pub(crate) fn run_query(
     );
     *tally = ctx.tally.take();
     result?;
+    let mut out = db.fresh_relation(q.out.clone());
+    out.extend(rows)?;
     record(tally, q, out.len());
     Ok(out)
 }
@@ -1438,15 +1396,15 @@ mod tests {
     use super::*;
     use crate::schema::TableSchema;
 
-    fn rel_data_of(rows: &[[i64; 2]]) -> RelData {
+    fn rel_data_of(rows: &[[i64; 2]]) -> ColumnImage {
         let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple::new(r.to_vec())).collect();
-        RelData::from_tuples(tuples.iter(), 2)
+        ColumnImage::of(2, tuples.iter())
     }
 
     #[test]
     fn dense_table_builds_for_small_int_ranges() {
         let data = rel_data_of(&[[1, 10], [2, 10], [1, 20], [3, 30]]);
-        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "dense-key");
         assert_eq!(table.probe(&[Value::int(1)]).len(), 2);
         assert_eq!(table.probe(&[Value::int(3)]).len(), 1);
@@ -1457,7 +1415,7 @@ mod tests {
     #[test]
     fn composite_dense_key_indexes_both_columns() {
         let data = rel_data_of(&[[1, 10], [2, 10], [1, 20]]);
-        let table = JoinTable::build(data.len, 2, |r, c| data.value(c, r as u32));
+        let table = JoinTable::build(data.len(), 2, |r, c| data.value(c, r as u32));
         assert_eq!(table.kind(), "dense-key");
         assert_eq!(table.probe(&[Value::int(1), Value::int(10)]).len(), 1);
         assert_eq!(table.probe(&[Value::int(2), Value::int(20)]).len(), 0);
@@ -1466,7 +1424,7 @@ mod tests {
     #[test]
     fn sparse_ranges_fall_back_to_hash() {
         let data = rel_data_of(&[[1, 0], [1_000_000_000, 0]]);
-        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
         assert_eq!(table.probe(&[Value::int(1)]).len(), 1);
         assert_eq!(table.probe(&[Value::int(1_000_000_000)]).len(), 1);
@@ -1480,8 +1438,8 @@ mod tests {
             Tuple(vec![Value::Sym(0)]),
             Tuple(vec![Value::int(2)]),
         ];
-        let data = RelData::from_tuples(tuples.iter(), 1);
-        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        let data = ColumnImage::of(1, tuples.iter());
+        let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
         assert_eq!(table.probe(&[Value::Sym(0)]).len(), 1);
     }
@@ -1493,8 +1451,8 @@ mod tests {
             Relation::from_rows(TableSchema::new("T", ["x"]), [["red"], ["green"], ["blue"]])
                 .unwrap(),
         );
-        let data = RelData::from_relation(db.require("T").unwrap());
-        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        let data = db.require("T").unwrap().column_image();
+        let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "dense-key");
         let red = db.lookup_value(&Value::str("red"));
         assert_eq!(table.probe(&[red]).len(), 1);
@@ -1504,8 +1462,8 @@ mod tests {
 
     #[test]
     fn empty_relations_build_hash_tables() {
-        let data = RelData::from_tuples(std::iter::empty(), 2);
-        let table = JoinTable::build(data.len, 1, |r, _| data.value(0, r as u32));
+        let data = ColumnImage::of(2, std::iter::empty());
+        let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
         assert!(table.probe(&[Value::int(1)]).is_empty());
     }

@@ -10,12 +10,13 @@
 use crate::error::{CoreError, CoreResult};
 use crate::schema::{Catalog, TableSchema};
 use crate::stats::TableStats;
+use crate::storage::{ColumnImage, TupleSet};
 use crate::symbol::SymbolTable;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// A tuple: an ordered list of values. Attribute names live in the schema
 /// (the "set-of-mappings" view of §3.1 is recovered by pairing a tuple with
@@ -81,19 +82,29 @@ impl fmt::Display for Tuple {
 
 /// A relation instance: a schema plus a *set* of tuples.
 ///
-/// `BTreeSet` enforces set semantics and gives deterministic iteration,
-/// which keeps query evaluation, printing, and counterexample search
-/// reproducible.
+/// The tuples live in a copy-on-write [`TupleSet`]: cloning a relation
+/// shares its leaves, and a single-row insert or delete on the clone
+/// copies one leaf of at most [`LEAF_CAP`](crate::storage::LEAF_CAP)
+/// tuples. Iteration is in the tuples' total order, which keeps query
+/// evaluation, printing, and counterexample search reproducible.
 ///
 /// A relation stored in a [`Database`] carries a handle to the database's
 /// symbol table: string values are interned on insert, and
 /// [`Relation::resolved`] maps them back. Free-standing relations (query
 /// results, literals under construction) have no handle and keep their
 /// values as given.
+///
+/// Three derived values are cached per relation version, each built on
+/// first read and carried along by clones: the planner's
+/// [`TableStats`] ([`Relation::stats`]), the batch executor's
+/// [`ColumnImage`] ([`Relation::column_image`]), and the content digest
+/// behind [`Database::fingerprint`] ([`Relation::content_digest`]).
+/// Inserts and deletes keep the stats and the digest current in O(1)
+/// per row; the column image is dropped and rebuilt by the next scan.
 #[derive(Debug)]
 pub struct Relation {
     schema: TableSchema,
-    tuples: BTreeSet<Tuple>,
+    tuples: TupleSet,
     symbols: Option<Arc<SymbolTable>>,
     /// `true` for relations *stored in* a database (inserting a new
     /// string interns it — the data write path); `false` for result
@@ -101,12 +112,12 @@ pub struct Relation {
     /// only map strings already interned (an unknown query literal in an
     /// output head must not grow the shared table).
     intern_on_insert: bool,
-    /// Lazily-built per-column statistics ([`Relation::stats`]): `None`
-    /// until first read or after an invalidating mutation. Interior
-    /// mutability lets planners materialize stats through the shared
-    /// `&Database` snapshot; inserts keep a live cache current
-    /// incrementally, deletes and re-interning invalidate it.
-    stats: Mutex<Option<Arc<TableStats>>>,
+    /// Per-column statistics ([`Relation::stats`]).
+    stats: OnceLock<Arc<TableStats>>,
+    /// Column-major scan image ([`Relation::column_image`]).
+    image: OnceLock<Arc<ColumnImage>>,
+    /// Order-independent content digest ([`Relation::content_digest`]).
+    digest: OnceLock<u64>,
 }
 
 impl Clone for Relation {
@@ -116,7 +127,9 @@ impl Clone for Relation {
             tuples: self.tuples.clone(),
             symbols: self.symbols.clone(),
             intern_on_insert: self.intern_on_insert,
-            stats: Mutex::new(self.stats.lock().expect("stats lock").clone()),
+            stats: self.stats.clone(),
+            image: self.image.clone(),
+            digest: self.digest.clone(),
         }
     }
 }
@@ -124,12 +137,24 @@ impl Clone for Relation {
 impl Relation {
     /// An empty instance of `schema`.
     pub fn empty(schema: TableSchema) -> Self {
+        Relation::with_tuples(schema, TupleSet::new(), None)
+    }
+
+    /// A free-standing or result relation over `tuples`, with no derived
+    /// value cached yet.
+    fn with_tuples(
+        schema: TableSchema,
+        tuples: TupleSet,
+        symbols: Option<Arc<SymbolTable>>,
+    ) -> Self {
         Relation {
             schema,
-            tuples: BTreeSet::new(),
-            symbols: None,
+            tuples,
+            symbols,
             intern_on_insert: false,
-            stats: Mutex::new(None),
+            stats: OnceLock::new(),
+            image: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -162,53 +187,44 @@ impl Relation {
         self.symbols.as_ref()
     }
 
+    /// Replaces the stored tuples with `f` applied to each one (a change
+    /// of representation, not of content: the digest stays valid, the
+    /// representation-dependent caches are dropped).
+    fn remap(&mut self, f: impl Fn(&Tuple) -> Tuple) {
+        self.tuples = self.tuples.iter().map(f).collect();
+        self.stats.take();
+        self.image.take();
+    }
+
+    /// `true` if some stored value is a raw (uninterned) string.
+    fn has_raw_strings(&self) -> bool {
+        self.tuples
+            .iter()
+            .any(|t| t.iter().any(|v| matches!(v, Value::Str(_))))
+    }
+
     /// Attaches `symbols` and re-interns the stored tuples against it.
     /// Called by [`Database::add_relation`]; a relation moving between
     /// databases is resolved out of its old table first, so ids never
     /// leak across tables.
     pub(crate) fn attach_symbols(&mut self, symbols: Arc<SymbolTable>) {
-        // Re-interning may change the stored representation (`Str` ↔
-        // `Sym`), which changes sketch hashes — rebuild lazily.
-        *self.stats.get_mut().expect("stats lock") = None;
-        if let Some(old) = &self.symbols {
-            if Arc::ptr_eq(old, &symbols) {
+        if let Some(old) = self.symbols.clone() {
+            if Arc::ptr_eq(&old, &symbols) {
                 // Same table (e.g. a result materialized back into its
                 // own database): from now on it stores data, so new
                 // strings intern again. Any raw Str literals it carries
                 // are interned by the pass below.
                 self.intern_on_insert = true;
-                if self
-                    .tuples
-                    .iter()
-                    .any(|t| t.iter().any(|v| matches!(v, Value::Str(_))))
-                {
-                    let old = old.clone();
-                    self.tuples = self
-                        .tuples
-                        .iter()
-                        .map(|t| intern_tuple_with(t, &old))
-                        .collect();
+                if self.has_raw_strings() {
+                    self.remap(|t| intern_tuple_with(t, &old));
                 }
                 return;
             }
             // Re-home: resolve through the old table before re-interning.
-            let old = old.clone();
-            self.tuples = self
-                .tuples
-                .iter()
-                .map(|t| resolve_tuple_with(t, &old))
-                .collect();
+            self.remap(|t| resolve_tuple_with(t, &old));
         }
-        if self
-            .tuples
-            .iter()
-            .any(|t| t.iter().any(|v| matches!(v, Value::Str(_))))
-        {
-            self.tuples = self
-                .tuples
-                .iter()
-                .map(|t| intern_tuple_with(t, &symbols))
-                .collect();
+        if self.has_raw_strings() {
+            self.remap(|t| intern_tuple_with(t, &symbols));
         }
         self.symbols = Some(symbols);
         self.intern_on_insert = true;
@@ -218,15 +234,26 @@ impl Relation {
     /// detaches it, leaving raw `Str` values — the representation of
     /// [`Database::uninterned`].
     pub(crate) fn detach_resolved(&mut self) {
-        *self.stats.get_mut().expect("stats lock") = None;
         if let Some(symbols) = self.symbols.take() {
-            self.tuples = self
-                .tuples
-                .iter()
-                .map(|t| resolve_tuple_with(t, &symbols))
-                .collect();
+            self.remap(|t| resolve_tuple_with(t, &symbols));
         }
         self.intern_on_insert = false;
+    }
+
+    /// Maps a tuple's `Str` values to the stored representation: interned
+    /// for stored relations, looked up (never growing the table) for
+    /// result relations and probes.
+    fn to_stored(&self, tuple: Tuple, intern: bool) -> Tuple {
+        match &self.symbols {
+            Some(symbols) if tuple.iter().any(|v| matches!(v, Value::Str(_))) => {
+                if intern {
+                    intern_tuple_with(&tuple, symbols)
+                } else {
+                    lookup_tuple_with(&tuple, symbols)
+                }
+            }
+            _ => tuple,
+        }
     }
 
     /// Inserts a tuple, checking arity and interning string values when a
@@ -240,38 +267,58 @@ impl Relation {
     /// whole relations re-home automatically via
     /// [`Database::add_relation`].
     pub fn insert(&mut self, tuple: Tuple) -> CoreResult<bool> {
-        if tuple.arity() != self.schema.arity() {
-            return Err(CoreError::ArityMismatch {
-                table: self.schema.name().to_string(),
-                expected: self.schema.arity(),
-                actual: tuple.arity(),
-            });
+        self.check_arity(&tuple)?;
+        let tuple = self.to_stored(tuple, self.intern_on_insert);
+        // Keep live caches current: stats and digest observe the fresh
+        // tuple in O(1); when none is materialized (bulk load, result
+        // relations) this costs one `None` check each.
+        let hash = self.digest.get().map(|_| self.row_hash(&tuple));
+        let stats = self.stats.get().map(|_| tuple.clone());
+        if !self.tuples.insert(tuple) {
+            return Ok(false);
         }
-        let tuple = match &self.symbols {
-            Some(symbols) if tuple.iter().any(|v| matches!(v, Value::Str(_))) => {
-                if self.intern_on_insert {
-                    intern_tuple_with(&tuple, symbols)
-                } else {
-                    // Result relation: map known strings to their symbol,
-                    // keep unknown literals as Str (never grow the table).
-                    lookup_tuple_with(&tuple, symbols)
-                }
-            }
-            _ => tuple,
-        };
-        {
-            // Keep a live stats cache current: observe fresh tuples
-            // incrementally. When no cache is materialized (bulk load,
-            // result relations) this is one uncontended lock + a `None`
-            // check — the first planner read builds stats in one scan.
-            let mut cached = self.stats.lock().expect("stats lock");
-            if let Some(st) = cached.as_mut() {
-                if !self.tuples.contains(&tuple) {
-                    Arc::make_mut(st).observe(&tuple);
-                }
-            }
+        if let (Some(d), Some(h)) = (self.digest.get_mut(), hash) {
+            *d = d.wrapping_add(h);
         }
-        Ok(self.tuples.insert(tuple))
+        if let (Some(st), Some(t)) = (self.stats.get_mut(), stats) {
+            Arc::make_mut(st).observe(&t);
+        }
+        self.image.take();
+        Ok(true)
+    }
+
+    /// Inserts a batch of tuples with one sort and merge (see
+    /// [`TupleSet::extend_batch`]) — the build path for query results.
+    /// Arity is checked for the whole batch first. Drops the cached
+    /// stats, image and digest when anything was new. Returns how many
+    /// tuples were new.
+    pub(crate) fn extend(&mut self, rows: Vec<Tuple>) -> CoreResult<usize> {
+        for t in &rows {
+            self.check_arity(t)?;
+        }
+        let intern = self.intern_on_insert;
+        let rows = rows
+            .into_iter()
+            .map(|t| self.to_stored(t, intern))
+            .collect();
+        let added = self.tuples.extend_batch(rows);
+        if added > 0 {
+            self.stats.take();
+            self.image.take();
+            self.digest.take();
+        }
+        Ok(added)
+    }
+
+    fn check_arity(&self, tuple: &Tuple) -> CoreResult<()> {
+        if tuple.arity() == self.schema.arity() {
+            return Ok(());
+        }
+        Err(CoreError::ArityMismatch {
+            table: self.schema.name().to_string(),
+            expected: self.schema.arity(),
+            actual: tuple.arity(),
+        })
     }
 
     /// Convenience: insert a row of values.
@@ -306,36 +353,13 @@ impl Relation {
     }
 
     /// Iterates over tuples in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
+    pub fn iter(&self) -> crate::storage::Iter<'_> {
         self.tuples.iter()
     }
 
     /// The underlying tuple set.
-    pub fn tuples(&self) -> &BTreeSet<Tuple> {
+    pub fn tuples(&self) -> &TupleSet {
         &self.tuples
-    }
-
-    /// Iterates the relation as fixed-size *column chunks*: each item
-    /// covers up to `chunk_rows` consecutive tuples (in deterministic
-    /// set order), transposed into one `Vec<Value>` per attribute. This
-    /// is the scan feed of the vectorized executor — columnar layout
-    /// with bounded working-set size — but is public API usable by any
-    /// column-at-a-time consumer.
-    pub fn column_chunks(&self, chunk_rows: usize) -> impl Iterator<Item = Vec<Vec<Value>>> + '_ {
-        let chunk_rows = chunk_rows.max(1);
-        let arity = self.schema.arity();
-        let mut iter = self.tuples.iter().peekable();
-        std::iter::from_fn(move || {
-            iter.peek()?;
-            let mut cols: Vec<Vec<Value>> =
-                (0..arity).map(|_| Vec::with_capacity(chunk_rows)).collect();
-            for t in iter.by_ref().take(chunk_rows) {
-                for (c, v) in t.iter().enumerate() {
-                    cols[c].push(v.clone());
-                }
-            }
-            Some(cols)
-        })
     }
 
     /// This relation with interned symbols resolved back to strings
@@ -344,17 +368,14 @@ impl Relation {
     pub fn resolved(&self) -> Relation {
         match &self.symbols {
             None => self.clone(),
-            Some(symbols) => Relation {
-                schema: self.schema.clone(),
-                tuples: self
-                    .tuples
+            Some(symbols) => Relation::with_tuples(
+                self.schema.clone(),
+                self.tuples
                     .iter()
                     .map(|t| resolve_tuple_with(t, symbols))
                     .collect(),
-                symbols: None,
-                intern_on_insert: false,
-                stats: Mutex::new(None),
-            },
+                None,
+            ),
         }
     }
 
@@ -363,36 +384,102 @@ impl Relation {
     /// an unknown string answers `false` without growing the shared
     /// table. Returns `true` if the tuple was present.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        let removed = match &self.symbols {
-            Some(symbols) if tuple.iter().any(|v| matches!(v, Value::Str(_))) => {
-                self.tuples.remove(&lookup_tuple_with(tuple, symbols))
-            }
-            _ => self.tuples.remove(tuple),
-        };
-        if removed {
-            // Sketches and ranges cannot unobserve — invalidate and let
-            // the next planner read rebuild in one scan.
-            *self.stats.get_mut().expect("stats lock") = None;
+        let tuple = self.to_stored(tuple.clone(), false);
+        if !self.tuples.remove(&tuple) {
+            return false;
         }
-        removed
+        let hash = self.digest.get().map(|_| self.row_hash(&tuple));
+        if let (Some(d), Some(h)) = (self.digest.get_mut(), hash) {
+            *d = d.wrapping_sub(h);
+        }
+        // Sketches and ranges cannot unobserve: they stay as upper
+        // bounds with an exact row count, until enough deletes pile up
+        // that the next planner read should rebuild them.
+        if let Some(st) = self.stats.get_mut() {
+            if Arc::make_mut(st).observe_delete() {
+                self.stats.take();
+            }
+        }
+        self.image.take();
+        true
     }
 
     /// Per-column statistics over the current tuple set: row count,
     /// distinct-value sketches, and `Int` min/max per attribute.
     ///
-    /// Built lazily on first call (one scan) and cached; inserts through
-    /// [`Relation::insert`] keep the cache current incrementally, while
-    /// deletes and symbol re-attachment invalidate it. The returned
-    /// `Arc` is a consistent snapshot — later mutations don't alter it.
+    /// Built lazily on first call (one scan) and cached. Inserts through
+    /// [`Relation::insert`] keep the cache current incrementally.
+    /// Deletes keep the row count exact and leave the sketches and
+    /// ranges as upper bounds (see [`TableStats::observe_delete`]) until
+    /// deletes since the last build pass
+    /// [`STATS_REBUILD_FRACTION`](crate::stats::STATS_REBUILD_FRACTION)
+    /// of the rows; the next call then rebuilds. Symbol re-attachment
+    /// drops the cache. The returned `Arc` is a consistent snapshot —
+    /// later mutations don't alter it.
     pub fn stats(&self) -> Arc<TableStats> {
-        let mut cached = self.stats.lock().expect("stats lock");
-        if cached.is_none() {
-            *cached = Some(Arc::new(TableStats::of(
-                self.schema.arity(),
-                self.tuples.iter(),
-            )));
+        self.stats
+            .get_or_init(|| Arc::new(TableStats::of(self.schema.arity(), self.tuples.iter())))
+            .clone()
+    }
+
+    /// The column-major image of the current tuples, in set order — the
+    /// batch executor's scan feed. Built on first call for each relation
+    /// version and shared by `Arc` with every execution scanning it
+    /// (counted in [`scan_image_builds`](crate::storage::scan_image_builds)).
+    pub fn column_image(&self) -> Arc<ColumnImage> {
+        self.image
+            .get_or_init(|| {
+                Arc::new(ColumnImage::build_counted(
+                    self.schema.arity(),
+                    &self.tuples,
+                ))
+            })
+            .clone()
+    }
+
+    /// An order-independent digest of the relation's *content*: the
+    /// wrapping sum of every tuple's hash in resolved (string) form, so
+    /// it is the same however the strings were interned. Built on first
+    /// call with one scan; inserts and deletes then add or subtract one
+    /// tuple hash each.
+    pub fn content_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            self.tuples
+                .iter()
+                .fold(0u64, |acc, t| acc.wrapping_add(self.row_hash(t)))
+        })
+    }
+
+    /// One tuple's hash in resolved form: a `Sym` hashes as the string
+    /// it stands for, exactly like the equal `Str`.
+    fn row_hash(&self, t: &Tuple) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for v in t.iter() {
+            match v {
+                Value::Int(i) => {
+                    h.write_u8(0);
+                    i.hash(&mut h);
+                }
+                Value::Str(s) => {
+                    h.write_u8(1);
+                    s.as_str().hash(&mut h);
+                }
+                Value::Sym(id) => match self.symbols.as_ref().and_then(|s| s.try_resolve(*id)) {
+                    Some(s) => {
+                        h.write_u8(1);
+                        (*s).hash(&mut h);
+                    }
+                    // A symbol with no table to resolve it: only its id
+                    // is known.
+                    None => {
+                        h.write_u8(2);
+                        id.hash(&mut h);
+                    }
+                },
+            }
         }
-        cached.as_ref().expect("just built").clone()
+        h.finish()
     }
 
     /// Approximate in-memory size of the tuple set — the weight used by
@@ -410,13 +497,10 @@ impl Relation {
                 actual: self.schema.arity(),
             });
         }
+        // Same tuple set, so every cached derived value stays valid.
         Ok(Relation {
             schema: new_schema,
-            tuples: self.tuples.clone(),
-            symbols: self.symbols.clone(),
-            intern_on_insert: self.intern_on_insert,
-            // Same tuple set, so the cached stats stay valid.
-            stats: Mutex::new(self.stats.lock().expect("stats lock").clone()),
+            ..self.clone()
         })
     }
 }
@@ -502,10 +586,14 @@ fn resolve_tuple_with(t: &Tuple, symbols: &SymbolTable) -> Tuple {
 /// Relations are held behind `Arc`s, so cloning a database is cheap —
 /// one pointer copy per relation — and the single-relation mutation
 /// methods ([`Database::insert_rows`], [`Database::delete_rows`],
-/// [`Database::create_table`]) are copy-on-write: only the touched
-/// relation's tuple set is actually cloned; every other relation stays
-/// shared with the source snapshot. This is what makes per-mutation
-/// epochs affordable for a service.
+/// [`Database::create_table`]) are copy-on-write at two levels: every
+/// other relation stays shared with the source snapshot, and inside the
+/// touched relation only the leaf pointer vector and the leaves the
+/// rows land in are copied ([`TupleSet`]). A single-row mutation
+/// therefore costs O(batch) plus one pointer per leaf, not O(relation),
+/// and the touched relation's stats and content digest move forward
+/// incrementally. This is what makes per-mutation epochs affordable
+/// for a service.
 #[derive(Debug, Clone)]
 pub struct Database {
     relations: BTreeMap<String, Arc<Relation>>,
@@ -586,7 +674,8 @@ impl Database {
 
     /// Inserts `rows` (edge `Int`/`Str` representation) into `table` by
     /// copy-on-write: if the relation is shared with another database
-    /// snapshot it is cloned once, all other relations stay shared.
+    /// snapshot, its leaf pointers are cloned once and each leaf a row
+    /// lands in is copied; all other relations and leaves stay shared.
     /// Arity is validated for the whole batch before anything is
     /// touched. Returns how many rows were actually new (set
     /// semantics: duplicates don't count).
@@ -627,11 +716,11 @@ impl Database {
     /// adding the result to another database re-homes the ids instead of
     /// silently reinterpreting them against the wrong table.
     pub fn fresh_relation(&self, schema: TableSchema) -> Relation {
-        let mut rel = Relation::empty(schema);
-        if self.interning {
-            rel.symbols = Some(self.symbols.clone());
-        }
-        rel
+        Relation::with_tuples(
+            schema,
+            TupleSet::new(),
+            self.interning.then(|| self.symbols.clone()),
+        )
     }
 
     /// Interns a single edge value against this database: `Str` becomes
@@ -683,13 +772,11 @@ impl Database {
     /// back to the string representation, re-sorted under the plain
     /// `Int < Str` order — the edge format for printing and the wire.
     pub fn resolve_relation(&self, rel: &Relation) -> Relation {
-        Relation {
-            schema: rel.schema.clone(),
-            tuples: rel.tuples.iter().map(|t| self.resolve_tuple(t)).collect(),
-            symbols: None,
-            intern_on_insert: false,
-            stats: Mutex::new(None),
-        }
+        Relation::with_tuples(
+            rel.schema.clone(),
+            rel.tuples.iter().map(|t| self.resolve_tuple(t)).collect(),
+            None,
+        )
     }
 
     /// Looks up a relation by name.
@@ -756,53 +843,25 @@ impl Database {
 
     /// A 64-bit content fingerprint: two databases with the same schemas
     /// and (resolved) tuple sets hash equal — regardless of interning
-    /// order, because tuples are hashed in their resolved string form,
-    /// re-sorted per relation. Computed once per load/reload, it keys
-    /// in-memory result caches and lets a service tell reloads apart; it
-    /// is not a persistent checksum.
-    ///
-    /// Defined as [`combine_fingerprints`] over the per-relation
-    /// [`Database::relation_fingerprint`] digests (in name order), so a
-    /// caller tracking single-relation deltas can maintain the same
-    /// value incrementally — rehash only the touched relation and
-    /// re-combine — instead of rehashing every row of the database.
+    /// order or of the insert/delete history that produced them, because
+    /// each relation contributes its order-independent
+    /// [`Relation::content_digest`]. The digests are cached per relation
+    /// and kept current by every insert and delete, so after the first
+    /// call on a load this costs O(relations), not O(rows): a service
+    /// can recompute it on every mutation. It keys in-memory result
+    /// caches and lets a service tell reloads apart; it is not a
+    /// persistent checksum.
     pub fn fingerprint(&self) -> u64 {
-        combine_fingerprints(
-            self.relations.len(),
-            self.relations
-                .values()
-                .map(|r| self.relation_fingerprint(r)),
-        )
-    }
-
-    /// The per-relation digest [`Database::fingerprint`] is built from:
-    /// schema, cardinality, and the resolved (string-form) tuple set.
-    pub fn relation_fingerprint(&self, rel: &Relation) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        rel.schema().hash(&mut h);
-        rel.len().hash(&mut h);
-        let mut rows: Vec<Tuple> = rel.iter().map(|t| self.resolve_tuple(t)).collect();
-        rows.sort_unstable();
-        for t in rows {
-            t.hash(&mut h);
+        self.relations.len().hash(&mut h);
+        for rel in self.relations.values() {
+            rel.schema().hash(&mut h);
+            rel.len().hash(&mut h);
+            rel.content_digest().hash(&mut h);
         }
         h.finish()
     }
-}
-
-/// Folds per-relation digests (in relation-name order) plus the relation
-/// count into one database fingerprint — the combination step of
-/// [`Database::fingerprint`], exposed so delta-tracking callers can
-/// recombine cached digests after a single-relation change.
-pub fn combine_fingerprints(count: usize, prints: impl Iterator<Item = u64>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    count.hash(&mut h);
-    for p in prints {
-        p.hash(&mut h);
-    }
-    h.finish()
 }
 
 /// Content equality over the relation map (delegates to the resolving
@@ -1158,5 +1217,80 @@ mod tests {
         assert!(t.iter().any(|r| r.get(0) == &Value::str("red")));
         assert!(t.iter().any(|r| r.get(0) == &Value::str("blue")));
         assert_eq!(a.require("T").unwrap(), b.require("T").unwrap());
+    }
+
+    #[test]
+    fn stats_survive_deletes_until_the_rebuild_threshold() {
+        use crate::stats::STATS_REBUILD_FRACTION;
+        // 100 rows, every `a` distinct, `b` one of ten strings.
+        let mut db = Database::new();
+        db.add_relation(
+            Relation::from_rows(
+                TableSchema::new("R", ["a", "b"]),
+                (0..100i64).map(|i| vec![Value::int(i), Value::str(format!("s{}", i % 10))]),
+            )
+            .unwrap(),
+        );
+        let built = db.require("R").unwrap().stats();
+        assert_eq!((built.rows(), built.distinct(0)), (100, 100));
+        let row = |i: i64| Tuple::new(vec![Value::int(i), Value::str(format!("s{}", i % 10))]);
+
+        // Below the threshold the stats are carried forward: the row
+        // count is exact, the sketches still count deleted values, and
+        // distinct estimates are clamped to the live rows.
+        let mut deleted = 0;
+        while (deleted + 1) * STATS_REBUILD_FRACTION <= 100 - (deleted + 1) {
+            db.delete_rows("R", &[row(deleted as i64)]).unwrap();
+            deleted += 1;
+        }
+        let rel = db.require("R").unwrap();
+        let st = rel.stats();
+        assert_eq!(st.rows(), rel.len() as u64);
+        assert_eq!(st.rows(), 100 - deleted);
+        for c in 0..2 {
+            assert!(st.distinct(c) <= st.rows(), "column {c}: {st:?}");
+        }
+        assert_eq!(st.distinct(0), st.rows(), "sketch still holds 100, clamped");
+        assert_eq!(st.int_range(0), Some((0, 99)), "range stays an upper bound");
+        assert_ne!(*st, TableStats::of(2, rel.iter()), "not rebuilt yet");
+        // Inserts keep observing into the carried stats.
+        db.insert_rows("R", &[row(500)]).unwrap();
+        let st = db.require("R").unwrap().stats();
+        assert_eq!(st.rows(), 100 - deleted + 1);
+        assert_eq!(st.int_range(0), Some((0, 500)));
+
+        // One more delete crosses the threshold: the next read rebuilds,
+        // giving exactly the stats of a fresh scan of the live tuples.
+        db.delete_rows("R", &[row(deleted as i64), row(deleted as i64 + 1)])
+            .unwrap();
+        let rel = db.require("R").unwrap();
+        assert_eq!(*rel.stats(), TableStats::of(2, rel.iter()));
+        assert_eq!(rel.stats().int_range(0), Some((deleted as i64 + 2, 500)));
+    }
+
+    #[test]
+    fn derived_values_are_cached_per_version() {
+        let mut db = Database::new();
+        db.add_relation(sample());
+        let rel = db.require("R").unwrap();
+        assert!(Arc::ptr_eq(&rel.column_image(), &rel.column_image()));
+        assert_eq!(
+            *rel.column_image(),
+            ColumnImage::of(2, rel.iter()),
+            "image is the relation transposed"
+        );
+        let before = db.clone();
+        db.insert_rows("R", &[Tuple::new([0i64, 0])]).unwrap();
+        let (old, new) = (before.require("R").unwrap(), db.require("R").unwrap());
+        assert!(!Arc::ptr_eq(&old.column_image(), &new.column_image()));
+        assert_eq!(*new.column_image(), ColumnImage::of(2, new.iter()));
+        assert_eq!(old.column_image().len(), 3, "old version keeps its image");
+        // A digest moved by the delta equals one computed from scratch.
+        let fresh = Relation::from_rows(
+            TableSchema::new("R", ["A", "B"]),
+            [[1i64, 2], [1, 3], [2, 2], [0, 0]],
+        )
+        .unwrap();
+        assert_eq!(new.content_digest(), fresh.content_digest());
     }
 }

@@ -984,9 +984,10 @@ fn run_program_collect(
     mut sizes: Option<&mut Vec<(String, u64)>>,
 ) -> CoreResult<Relation> {
     let mut computed = IdbMap::new();
-    // Columnar EDB/IDB materializations shared across the program's
-    // batched rules (sound because a computed IDB never changes once
-    // its stratum completes, and no rule reads its own stratum).
+    // Columnar IDB materializations shared across the program's batched
+    // rules (sound because a computed IDB never changes once its
+    // stratum completes, and no rule reads its own stratum); stored
+    // relations bring their own cached column images.
     let mut cache = crate::batch::RelCache::default();
     for stratum in &p.strata {
         let mut tuples: BTreeSet<Tuple> = BTreeSet::new();
@@ -1009,9 +1010,7 @@ fn run_program_collect(
         .remove(&p.query)
         .ok_or_else(|| CoreError::Invalid(format!("query predicate '{}' not computed", p.query)))?;
     let mut rel = db.fresh_relation(p.out.clone());
-    for row in rows {
-        rel.insert(row)?;
-    }
+    rel.extend(rows.into_iter().collect())?;
     Ok(rel)
 }
 
@@ -1109,7 +1108,7 @@ fn run_ops_inner(
 ) -> CoreResult<BTreeSet<Tuple>> {
     let symbols = db.symbols();
     let tuples = match op {
-        OpNode::Table(name) => db.require(name)?.tuples().clone(),
+        OpNode::Table(name) => db.require(name)?.iter().cloned().collect(),
         OpNode::Project { cols, input } => {
             let inner = run_ops_inner(input, db, tally)?;
             inner.iter().map(|t| t.project(cols)).collect()
@@ -1283,9 +1282,7 @@ fn execute_inner(
             let mut result = run_query_inner(first, db, tally, opts)?;
             for branch in iter {
                 let r = run_query_inner(branch, db, tally, opts)?;
-                for t in r.iter() {
-                    result.insert(t.clone())?;
-                }
+                result.extend(r.iter().cloned().collect())?;
             }
             Ok(result)
         }
@@ -1298,9 +1295,7 @@ fn execute_inner(
                 run_ops_inner(root, db, tally)?
             };
             let mut rel = db.fresh_relation(out.clone());
-            for t in tuples {
-                rel.insert(t)?;
-            }
+            rel.extend(tuples.into_iter().collect())?;
             Ok(rel)
         }
     }

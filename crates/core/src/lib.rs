@@ -9,7 +9,7 @@
 //! (Gatterbauer & Dunne, SIGMOD 2024, §2.4):
 //!
 //! * **set semantics** — relations are sets of tuples; duplicates never
-//!   exist (we store tuples in a [`std::collections::BTreeSet`], which also
+//!   exist (tuples live in a sorted copy-on-write [`TupleSet`], which also
 //!   gives deterministic iteration order);
 //! * **binary logic** — there is no `NULL` value; every predicate evaluates
 //!   to `true` or `false`;
@@ -43,17 +43,19 @@ pub mod plan;
 pub mod pretty;
 pub mod schema;
 pub mod stats;
+pub mod storage;
 pub mod symbol;
 pub mod trace;
 pub mod value;
 
 pub use cmp::CmpOp;
-pub use database::{combine_fingerprints, Database, Relation, Tuple};
+pub use database::{Database, Relation, Tuple};
 pub use error::{CoreError, CoreResult};
 pub use generate::{enumerate_databases, DbGenerator, ExhaustiveDbIter};
 pub use plan::{build_index, scan_cost, DbStats, OrderStrategy, PlanHints, PlannerOpts};
 pub use schema::{Catalog, TableSchema};
 pub use stats::{ColumnStats, KmvSketch, TableStats};
+pub use storage::{scan_image_builds, ColumnImage, TupleSet};
 pub use symbol::SymbolTable;
 pub use trace::{Histogram, Span};
 pub use value::Value;

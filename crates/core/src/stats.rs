@@ -4,8 +4,12 @@
 //! Each [`Relation`](crate::Relation) lazily materializes a
 //! [`TableStats`] over its tuples on first request and then keeps it
 //! current *incrementally*: inserting a fresh tuple observes its values
-//! into the sketches; a delete (which a sketch cannot unobserve)
-//! invalidates the cache so the next reader rebuilds. The cost-based
+//! into the sketches. A sketch cannot unobserve, so a delete only
+//! decrements the exact row count: the sketches and `Int` ranges stay
+//! valid *upper bounds* (distinct counts are clamped to the row count)
+//! until the deletes since the last build pass
+//! [`STATS_REBUILD_FRACTION`] of the rows, when the relation drops the
+//! stats and the next reader rebuilds them in one scan. The cost-based
 //! planner ([`crate::plan`]) reads these through
 //! [`DbStats`](crate::plan::DbStats) to estimate predicate
 //! selectivities and join cardinalities.
@@ -21,6 +25,11 @@ use crate::value::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+
+/// Stats are rebuilt once the deletes since their last build exceed
+/// `1 / STATS_REBUILD_FRACTION` of the live rows. Below that the
+/// deleted values' share of any distinct estimate is small.
+pub const STATS_REBUILD_FRACTION: u64 = 8;
 
 /// Sketch size: the number of minimum hash values retained. 256 keeps
 /// the relative error around `1/√(K-2)` ≈ 6% at a few KiB per column.
@@ -93,7 +102,7 @@ impl ColumnStats {
     }
 
     /// The observed `Int` min/max, if any integer was seen. The range
-    /// only grows — deletes invalidate the whole table's stats instead.
+    /// only grows: after deletes it is an upper bound on the live range.
     pub fn int_range(&self) -> Option<(i64, i64)> {
         match (self.min_int, self.max_int) {
             (Some(lo), Some(hi)) => Some((lo, hi)),
@@ -108,6 +117,8 @@ impl ColumnStats {
 pub struct TableStats {
     rows: u64,
     cols: Vec<ColumnStats>,
+    /// Deletes applied since these stats were built.
+    deleted: u64,
 }
 
 impl TableStats {
@@ -116,6 +127,7 @@ impl TableStats {
         TableStats {
             rows: 0,
             cols: (0..arity).map(|_| ColumnStats::default()).collect(),
+            deleted: 0,
         }
     }
 
@@ -138,7 +150,18 @@ impl TableStats {
         }
     }
 
-    /// Number of rows observed.
+    /// Records that one (present — the caller checks) row was deleted:
+    /// the row count stays exact, the sketches and ranges keep the
+    /// deleted values as upper bounds. Returns `true` once the deletes
+    /// since the build exceed `1 / STATS_REBUILD_FRACTION` of the live
+    /// rows — the caller should then drop these stats and rebuild.
+    pub fn observe_delete(&mut self) -> bool {
+        self.rows = self.rows.saturating_sub(1);
+        self.deleted += 1;
+        self.deleted * STATS_REBUILD_FRACTION > self.rows
+    }
+
+    /// Number of live rows.
     pub fn rows(&self) -> u64 {
         self.rows
     }
@@ -148,12 +171,13 @@ impl TableStats {
         &self.cols
     }
 
-    /// Estimated distinct values in column `col`, clamped to at least 1
-    /// on non-empty relations and falling back to the row count for
+    /// Estimated distinct values in column `col`, clamped to the row
+    /// count (deletes shrink rows but not sketches) and to at least 1 on
+    /// non-empty relations, falling back to the row count for
     /// out-of-range columns.
     pub fn distinct(&self, col: usize) -> u64 {
         match self.cols.get(col) {
-            Some(c) => c.distinct().max(u64::from(self.rows > 0)),
+            Some(c) => c.distinct().min(self.rows).max(u64::from(self.rows > 0)),
             None => self.rows,
         }
     }

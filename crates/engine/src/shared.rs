@@ -382,16 +382,12 @@ pub struct DbEpoch {
     /// recorded generation still matches.
     pub rel_gens: Arc<BTreeMap<String, u64>>,
     /// Content fingerprint of `db` (diagnostic; see
-    /// [`Database::fingerprint`]). Maintained *incrementally*: a delta
-    /// epoch rehashes only the touched relations' digests
-    /// ([`rel_prints`](Self::rel_prints)) and recombines, so the value
-    /// always equals what a fresh load of the same content would
-    /// compute without paying O(database) per mutation.
+    /// [`Database::fingerprint`]). Maintained *incrementally*: each
+    /// relation's content digest moves forward with every applied row,
+    /// so a delta epoch recombines cached digests in O(relations) and
+    /// the value always equals what a fresh load of the same content
+    /// would compute.
     pub fingerprint: u64,
-    /// Per-relation content digests backing the incremental
-    /// [`fingerprint`](Self::fingerprint)
-    /// (see [`Database::relation_fingerprint`]).
-    rel_prints: Arc<BTreeMap<String, u64>>,
 }
 
 impl DbEpoch {
@@ -399,12 +395,7 @@ impl DbEpoch {
     /// the new global generation.
     fn new(db: Database, generation: u64) -> Self {
         let catalog = Arc::new(db.catalog());
-        let rel_prints: BTreeMap<String, u64> = db
-            .iter()
-            .map(|r| (r.name().to_string(), db.relation_fingerprint(r)))
-            .collect();
-        let fingerprint =
-            rd_core::combine_fingerprints(rel_prints.len(), rel_prints.values().copied());
+        let fingerprint = db.fingerprint();
         let rel_gens = db
             .iter()
             .map(|r| (r.name().to_string(), generation))
@@ -416,28 +407,20 @@ impl DbEpoch {
             base: generation,
             rel_gens: Arc::new(rel_gens),
             fingerprint,
-            rel_prints: Arc::new(rel_prints),
         }
     }
 
     /// Delta epoch: same base, bumped generation, and only the touched
-    /// relations' generations (and content digests) moved forward.
+    /// relations' generations moved forward.
     /// Insert/delete deltas never change the schema set, so the catalog
     /// is rebuilt only when the mutation added a table.
     fn delta(prev: &DbEpoch, db: Database, touched: &[&str]) -> Self {
         let generation = prev.generation + 1;
         let mut rel_gens = (*prev.rel_gens).clone();
-        let mut rel_prints = (*prev.rel_prints).clone();
         for name in touched {
             rel_gens.insert((*name).to_string(), generation);
-            if let Some(rel) = db.relation(name) {
-                rel_prints.insert((*name).to_string(), db.relation_fingerprint(rel));
-            } else {
-                rel_prints.remove(*name);
-            }
         }
-        let fingerprint =
-            rd_core::combine_fingerprints(rel_prints.len(), rel_prints.values().copied());
+        let fingerprint = db.fingerprint();
         let catalog = if db.len() == prev.catalog.len() {
             prev.catalog.clone()
         } else {
@@ -450,7 +433,6 @@ impl DbEpoch {
             base: prev.base,
             rel_gens: Arc::new(rel_gens),
             fingerprint,
-            rel_prints: Arc::new(rel_prints),
         }
     }
 
@@ -697,6 +679,9 @@ impl EngineShared {
     /// nothing. Entries whose scan sets avoid the touched relations
     /// stay servable; entries that read them fail their generation
     /// check on the next lookup. If `f` errors, no epoch is installed.
+    /// The replaced epoch is released after the write lock is: when this
+    /// held its last reference, freeing the leaves the delta replaced
+    /// does not stall readers waiting for the lock.
     pub fn apply_delta<T>(
         &self,
         touched: &[&str],
@@ -706,7 +691,9 @@ impl EngineShared {
         let mut db = (*slot.db).clone();
         let out = f(&mut db)?;
         let next = Arc::new(DbEpoch::delta(&slot, db, touched));
-        *slot = next.clone();
+        let replaced = std::mem::replace(&mut *slot, next.clone());
+        drop(slot);
+        drop(replaced);
         Ok((out, next))
     }
 

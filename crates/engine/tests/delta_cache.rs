@@ -4,10 +4,12 @@
 //! caching enabled must agree answer-for-answer with an uncached one
 //! under interleaved queries and mutations.
 
-use rd_core::{Tuple, Value};
+use proptest::prelude::*;
+use rd_core::{ColumnImage, Database, Relation, TableSchema, Tuple, Value};
 use rd_engine::{
     demo_database, EngineShared, Language, QueryRequest, Session, SessionStats, SharedConfig,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn row(vals: &[Value]) -> Tuple {
@@ -144,7 +146,8 @@ fn cached_and_uncached_sessions_agree_under_interleaved_mutations() {
 }
 
 /// The epoch fingerprint is maintained incrementally across deltas
-/// (only touched relations are rehashed); it must nevertheless equal
+/// (each applied row moves its relation's digest); it must nevertheless
+/// equal
 /// exactly what a fresh load of the same content computes — and the
 /// delta path must also skip rebuilding the catalog when no table was
 /// added.
@@ -169,4 +172,161 @@ fn incremental_fingerprint_matches_a_fresh_load() {
     assert_eq!(b.generation, 0);
     // Insert/delete deltas reuse the previous epoch's catalog Arc.
     assert_eq!(a.catalog.len(), 3);
+}
+
+/// A splitmix64 stream: the property below draws its whole script from
+/// one seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// String values at the edges: empty, quotes, spaces, non-ASCII, a
+/// digit string, and a long one.
+const EDGE_STRS: [&str; 8] = [
+    "",
+    "'",
+    "a b",
+    "x\"y",
+    "\u{fc}n\u{ef}",
+    "0",
+    "red",
+    "long-long-long-long-long-long",
+];
+
+/// The delta-mutated relations: `R(a, s, b)` starts with 600 rows (so it
+/// spans several storage leaves), `U(s)` starts empty; `S(x)` is never
+/// written.
+const TABLES: [(&str, &[&str]); 3] = [("R", &["a", "s", "b"]), ("S", &["x"]), ("U", &["s"])];
+
+fn random_row(rng: &mut Rng, table: &str) -> Tuple {
+    let s = Value::str(EDGE_STRS[rng.below(EDGE_STRS.len())]);
+    match table {
+        "R" => Tuple(vec![
+            Value::int(rng.below(400) as i64 - 200),
+            s,
+            Value::int(rng.below(3) as i64),
+        ]),
+        _ => Tuple(vec![s]),
+    }
+}
+
+/// A database holding exactly `model` (edge representation), loaded the
+/// way a fresh boot would load it.
+fn fresh_load(model: &BTreeMap<&str, BTreeSet<Tuple>>, interned: bool) -> Database {
+    let mut db = if interned {
+        Database::new()
+    } else {
+        Database::uninterned()
+    };
+    for (name, attrs) in TABLES {
+        let rows = model[name].iter().map(|t| t.0.clone());
+        db.add_relation(Relation::from_rows(TableSchema::new(name, attrs.to_vec()), rows).unwrap());
+    }
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Random insert/delete batches — duplicate inserts, absent deletes,
+    /// edge strings — applied as deltas on an interned and an
+    /// uninterned engine. After every step each relation must match a
+    /// fresh build of the same content in its rows, fingerprint, stats
+    /// row count and column image; the untouched relations must be the
+    /// previous snapshot's, and the touched one must share every leaf
+    /// the batch did not land in.
+    #[test]
+    fn delta_batches_match_a_fresh_build(seed in 0u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let mut model: BTreeMap<&str, BTreeSet<Tuple>> =
+            TABLES.iter().map(|(name, _)| (*name, BTreeSet::new())).collect();
+        while model["R"].len() < 600 {
+            let t = random_row(&mut rng, "R");
+            model.get_mut("R").unwrap().insert(t);
+        }
+        model.get_mut("S").unwrap().extend((0..40).map(|i| Tuple::new([i as i64])));
+        let engines: Vec<EngineShared> = [true, false]
+            .into_iter()
+            .map(|interned| EngineShared::new(fresh_load(&model, interned)))
+            .collect();
+        for _ in 0..12 {
+            let table = if rng.below(4) == 0 { "U" } else { "R" };
+            let insert = rng.below(2) == 0;
+            // Half the rows are drawn from the live content (duplicate
+            // inserts, present deletes), half at random (mostly new
+            // inserts, absent deletes); a row may repeat in a batch.
+            let live: Vec<Tuple> = model[table].iter().cloned().collect();
+            let batch: Vec<Tuple> = (0..1 + rng.below(5))
+                .map(|_| {
+                    if !live.is_empty() && rng.below(2) == 0 {
+                        live[rng.below(live.len())].clone()
+                    } else {
+                        random_row(&mut rng, table)
+                    }
+                })
+                .collect();
+            let rows = model.get_mut(table).unwrap();
+            let expected = if insert {
+                batch.iter().filter(|t| rows.insert((*t).clone())).count()
+            } else {
+                batch.iter().filter(|t| rows.remove(*t)).count()
+            };
+            let mut prints = Vec::new();
+            for (engine, interned) in engines.iter().zip([true, false]) {
+                let prev = engine.epoch();
+                let outcome = if insert {
+                    engine.insert_rows(table, &batch)
+                } else {
+                    engine.delete_rows(table, &batch)
+                }
+                .unwrap();
+                prop_assert_eq!(outcome.applied as usize, expected);
+                let epoch = engine.epoch();
+                let fresh = fresh_load(&model, interned);
+                prop_assert_eq!(epoch.fingerprint, fresh.fingerprint());
+                prop_assert_eq!(epoch.fingerprint, epoch.db.fingerprint());
+                prints.push(epoch.fingerprint);
+                for (name, _) in TABLES {
+                    let rel = epoch.db.require(name).unwrap();
+                    let want = fresh.require(name).unwrap();
+                    prop_assert_eq!(rel, want, "{} content", name);
+                    let resolved: BTreeSet<Tuple> = rel.resolved().iter().cloned().collect();
+                    prop_assert_eq!(&resolved, &model[name]);
+                    prop_assert_eq!(rel.stats().rows(), model[name].len() as u64);
+                    prop_assert_eq!(rel.content_digest(), want.content_digest());
+                    prop_assert_eq!(
+                        &*rel.column_image(),
+                        &ColumnImage::of(rel.schema().arity(), rel.iter())
+                    );
+                    let old = prev.db.require(name).unwrap();
+                    if name != table {
+                        prop_assert!(std::ptr::eq(old, rel), "{} was copied", name);
+                        continue;
+                    }
+                    // Each applied row rewrites at most two leaves (its
+                    // own, plus a split-off or merged neighbour).
+                    let rewritten = rel
+                        .tuples()
+                        .leaves()
+                        .iter()
+                        .filter(|leaf| !old.tuples().leaves().iter().any(|o| Arc::ptr_eq(o, leaf)))
+                        .count();
+                    prop_assert!(rewritten <= 2 * expected, "{} leaves rewritten for {} rows", rewritten, expected);
+                }
+            }
+            prop_assert_eq!(prints[0], prints[1], "interning must not change the fingerprint");
+        }
+    }
 }

@@ -51,16 +51,22 @@ impl AnyQuery {
                     let b = rd_trc::eval::eval_sentence(q, db)?;
                     bool_tuples(b)
                 } else {
-                    rd_trc::eval::eval_query(q, db)?.tuples().clone()
+                    rd_trc::eval::eval_query(q, db)?.iter().cloned().collect()
                 }
             }
             AnyQuery::Ra(e) => rd_ra::eval::eval(e, db)?.tuples,
-            AnyQuery::Datalog(p) => rd_datalog::eval::eval_program(p, db)?.tuples().clone(),
+            AnyQuery::Datalog(p) => rd_datalog::eval::eval_program(p, db)?
+                .iter()
+                .cloned()
+                .collect(),
             AnyQuery::Sql(u) => {
                 if u.branches.len() == 1 && u.branches[0].is_boolean() {
                     bool_tuples(rd_sql::translate::eval_sql_boolean(&u.branches[0], db)?)
                 } else {
-                    rd_sql::translate::eval_sql(u, db)?.tuples().clone()
+                    rd_sql::translate::eval_sql(u, db)?
+                        .iter()
+                        .cloned()
+                        .collect()
                 }
             }
         })

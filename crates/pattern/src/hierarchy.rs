@@ -322,7 +322,7 @@ pub fn verify_lemma20() -> SeparationReport {
                             let mut refuted = false;
                             for (db, want) in dbs.iter().zip(&expected) {
                                 match rd_datalog::eval::eval_program(&p, db) {
-                                    Ok(got) if got.tuples() == want => {}
+                                    Ok(got) if got.iter().eq(want.iter()) => {}
                                     _ => {
                                         refuted = true;
                                         break;

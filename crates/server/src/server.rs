@@ -1573,6 +1573,14 @@ fn render_metrics(state: &Arc<ServerState>) -> String {
         "rd_errors_total {}",
         state.errors.load(Ordering::Relaxed)
     );
+    // Column images built for stored relations: once per relation
+    // version, so repeating a query over unchanged data adds nothing.
+    let _ = writeln!(out, "# TYPE rd_scan_image_builds_total counter");
+    let _ = writeln!(
+        out,
+        "rd_scan_image_builds_total {}",
+        rd_core::scan_image_builds()
+    );
     let _ = writeln!(out, "# TYPE rd_connections_active gauge");
     let active: u64 = state
         .shards

@@ -295,7 +295,10 @@ mod tests {
             let ra_out = ra_eval(&expr, &db()).unwrap();
             assert_eq!(
                 &ra_out.tuples,
-                dl_out.tuples(),
+                &dl_out
+                    .iter()
+                    .cloned()
+                    .collect::<std::collections::BTreeSet<_>>(),
                 "{name} mode mismatch for program:\n{program}\nexpr: {expr}"
             );
         }

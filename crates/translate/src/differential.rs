@@ -42,13 +42,20 @@ impl FourWay {
     /// Evaluates all five representations on `db` and returns the five
     /// result tuple-sets (TRC, Datalog, RA, RA⊲, SQL).
     pub fn eval_all(&self, db: &Database) -> CoreResult<Vec<BTreeSet<Tuple>>> {
-        let trc = rd_trc::eval::eval_query(&self.trc, db)?.tuples().clone();
+        let trc = rd_trc::eval::eval_query(&self.trc, db)?
+            .iter()
+            .cloned()
+            .collect();
         let dl = rd_datalog::eval::eval_program(&self.datalog, db)?
-            .tuples()
-            .clone();
+            .iter()
+            .cloned()
+            .collect();
         let ra = rd_ra::eval::eval(&self.ra, db)?.tuples;
         let raa = rd_ra::eval::eval(&self.ra_antijoin, db)?.tuples;
-        let sql = rd_sql::translate::eval_sql(&self.sql, db)?.tuples().clone();
+        let sql = rd_sql::translate::eval_sql(&self.sql, db)?
+            .iter()
+            .cloned()
+            .collect();
         Ok(vec![trc, dl, ra, raa, sql])
     }
 }

@@ -360,7 +360,10 @@ mod tests {
         let dl_out = eval_program(&p, &db()).unwrap();
         assert_eq!(
             &ra_out.tuples,
-            dl_out.tuples(),
+            &dl_out
+                .iter()
+                .cloned()
+                .collect::<std::collections::BTreeSet<_>>(),
             "mismatch for {ra_text}\nprogram:\n{p}"
         );
     }
@@ -405,7 +408,13 @@ mod tests {
         assert_eq!(p.signature(), vec!["R", "S"]);
         let ra_out = ra_eval(&e, &db()).unwrap();
         let dl_out = eval_program(&p, &db()).unwrap();
-        assert_eq!(&ra_out.tuples, dl_out.tuples());
+        assert_eq!(
+            &ra_out.tuples,
+            &dl_out
+                .iter()
+                .cloned()
+                .collect::<std::collections::BTreeSet<_>>()
+        );
     }
 
     #[test]

@@ -231,7 +231,7 @@ proptest! {
                 (rd_ra::lower(&e, &db).unwrap(), rd_ra::lower(&e, &raw).unwrap()),
                 (rd_sql::lower_sql(&sql, &db).unwrap(), rd_sql::lower_sql(&sql, &raw).unwrap()),
             ];
-            let mut resolved_first: Option<std::collections::BTreeSet<rd_core::Tuple>> = None;
+            let mut resolved_first: Option<rd_core::TupleSet> = None;
             for (interned_plan, reference_plan) in &pairs {
                 let interned = rd_core::exec::execute(interned_plan, &db).unwrap();
                 let reference = rd_core::exec::execute(reference_plan, &raw).unwrap();
