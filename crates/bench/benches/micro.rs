@@ -22,6 +22,11 @@ fn config() -> Criterion {
 const DIVISION: &str = "{ q(A) | exists r in R [ q.A = r.A and not (exists s in S [ \
                         not (exists r2 in R [ r2.B = s.B and r2.A = r.A ]) ]) ] }";
 
+/// The Boolean form of [`DIVISION`]: is there an `A` related to every `B`
+/// of `S`?
+const DIVISION_SENTENCE: &str = "exists r in R [ not (exists s in S [ \
+                                 not (exists r2 in R [ r2.B = s.B and r2.A = r.A ]) ]) ]";
+
 fn catalog() -> Catalog {
     Catalog::from_schemas([
         TableSchema::new("R", ["A", "B"]),
@@ -113,18 +118,20 @@ fn bench_eval(c: &mut Criterion) {
     c.bench_function("eval_datalog_division_200rows", |b| {
         b.iter(|| rd_datalog::eval_program(black_box(&p), &big).unwrap())
     });
-    // The vectorized-executor micro pair: the same compiled division
-    // plan, executed batched vs tuple-at-a-time over the 200-row
-    // instance. The chunked path's speedup reads off this pair directly
-    // (same plan, same database — only the executor differs).
-    use rd_core::exec::{execute_with, ExecOptions};
+    // Executor-only timings over the 200-row instance: the compiled
+    // division plan, and its Boolean form (does any A divide S?) — the
+    // sentence runs its formula over the unit batch, and the top-level
+    // `exists` stops at the first witness.
+    use rd_core::exec::{execute, Plan};
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     let plan = rd_trc::lower_union(&trc_u, &big).unwrap();
     c.bench_function("exec_trc_division_200rows_batched", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: true }).unwrap())
+        b.iter(|| execute(black_box(&plan), &big).unwrap())
     });
-    c.bench_function("exec_trc_division_200rows_scalar", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: false }).unwrap())
+    let sentence = rd_trc::parse_query(DIVISION_SENTENCE, &cat).unwrap();
+    let plan = Plan::Sentence(rd_trc::lower_sentence(&sentence, &big).unwrap());
+    c.bench_function("exec_trc_division_sentence_200rows", |b| {
+        b.iter(|| execute(black_box(&plan), &big).unwrap())
     });
 }
 
@@ -146,12 +153,12 @@ fn bench_eval_strings(c: &mut Criterion) {
     c.bench_function("eval_trc_string_join_200rows", |b| {
         b.iter(|| rd_trc::eval_query(black_box(&q), &db).unwrap())
     });
-    // Batched vs scalar over the same compiled join plan: interned
-    // symbol keys take the dense-key join table on the batched path.
-    // `DbGenerator` draws a *random* tuple count per relation, so the
-    // instance is regenerated until R really holds 400+ rows — the pair
-    // measures executor throughput, not generator luck.
-    use rd_core::exec::{execute_with, ExecOptions};
+    // The executor alone over the same compiled join plan: interned
+    // symbol keys take the dense-key join table. `DbGenerator` draws a
+    // *random* tuple count per relation, so the instance is regenerated
+    // until R really holds 400+ rows — the bench measures executor
+    // throughput, not generator luck.
+    use rd_core::exec::execute;
     let mut gen = DbGenerator::new(cat.clone(), domain, 800, 9);
     let big = loop {
         let db = gen.next_db();
@@ -165,10 +172,7 @@ fn bench_eval_strings(c: &mut Criterion) {
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     let plan = rd_trc::lower_union(&trc_u, &big).unwrap();
     c.bench_function("exec_trc_string_join_400rows_batched", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: true }).unwrap())
-    });
-    c.bench_function("exec_trc_string_join_400rows_scalar", |b| {
-        b.iter(|| execute_with(black_box(&plan), &big, ExecOptions { batch: false }).unwrap())
+        b.iter(|| execute(black_box(&plan), &big).unwrap())
     });
 }
 

@@ -1,29 +1,23 @@
-//! The vectorized batch executor: the chunked, columnar fast path under
-//! [`exec::execute`](crate::exec::execute).
+//! The executor: every compiled plan runs here, whichever of the four
+//! languages it came from.
 //!
-//! Where the tuple executor walks a pipeline one row at a time through a
-//! recursive callback chain, this module scans relations as column
-//! vectors ([`ColumnImage`]) — a stored relation's image is built once
-//! per relation version and cached in the relation itself, a Datalog
-//! IDB's once per program — drives the pipeline over batches of row ids
-//! ([`Batch`]) seeded in fixed-size chunks of
-//! [`CHUNK_ROWS`] rows, evaluates filters and comparisons over whole
-//! batches with selection vectors, and probes joins through a
-//! [`JoinTable`] — a direct-indexed dense array when every key column is
-//! interned symbols (or integers) with a small live range, a hash map
-//! otherwise.
+//! Relations are scanned as column vectors ([`ColumnImage`]) — a stored
+//! relation's image is built once per relation version and cached in the
+//! relation itself, a Datalog IDB's once per program. Pipelines run over
+//! batches of row ids ([`Batch`]) seeded in fixed-size chunks of
+//! [`CHUNK_ROWS`] rows; filters and comparisons evaluate over whole
+//! batches with selection vectors; joins probe a [`JoinTable`] — a
+//! direct-indexed dense array when every key column is interned symbols
+//! (or integers) with a small live range, a hash map otherwise.
 //!
-//! The plan IR, the four language lowerings, and the plan cache are
-//! untouched: [`run_query`], [`run_rule`], and [`run_ops`] are drop-in
-//! replacements for their tuple-at-a-time counterparts in
-//! [`exec`](crate::exec), dispatched per plan (or per rule) by the
-//! batchability predicates there. Plans with lazy-error terms
-//! (`Unbound`/`Wildcard`) never reach this module — their
-//! data-dependent failure semantics stay pinned by the row-at-a-time
-//! path. Deferred head-validation conjuncts batch: head-column
-//! references rewrite to the head's defining terms, turning the tuple
-//! path's per-candidate environment re-entry into ordinary batch
-//! filters.
+//! [`exec`](crate::exec) dispatches each plan shape to one entry point:
+//! [`run_query`] for a query branch, [`run_sentence`] for a Boolean
+//! sentence, [`run_rule`] for each Datalog rule, and [`run_ops`] for an
+//! RA\* operator tree. A sentence is a formula over the unit batch (one
+//! row binding nothing), evaluated by the same [`eval_mask`] that
+//! filters pipeline rows. A query's deferred head-validation conjuncts
+//! become ordinary batch filters: head-column references are rewritten
+//! to the head's defining terms.
 //!
 //! Quantifiers are *loop-inverted and grouped*: an `Exists` block first
 //! groups the outer rows by the few outer columns its subtree actually
@@ -37,7 +31,7 @@ use crate::database::{Database, Relation, Tuple};
 use crate::error::CoreResult;
 use crate::exec::{
     bump_n, eval_cond, record, record_build, Block, Formula, IdbMap, OpNode, Pred, QueryPlan,
-    RulePlan, Scan, TallyMap, Term,
+    RulePlan, Scan, SentencePlan, TallyMap, Term,
 };
 use crate::storage::ColumnImage;
 use crate::symbol::SymbolTable;
@@ -81,8 +75,7 @@ pub(crate) struct RelCache {
 /// symbol columns, whose `u32` ids are allocated densely — the table is
 /// a direct-indexed CSR array: probing is subtraction, multiplication,
 /// and one slice lookup, no hashing. Otherwise it falls back to a
-/// `HashMap` keyed by the value vector (the same shape the tuple path's
-/// [`plan::build_index`](crate::plan::build_index) uses).
+/// `HashMap` keyed by the value vector.
 enum JoinTable {
     Dense {
         /// Per key column: the dense-kind tag ([`Value::as_dense_key`]).
@@ -435,9 +428,9 @@ impl Batch {
 }
 
 /// Where each environment slot's value lives in a batch: tuple slots map
-/// to a step, value slots to a `(step, column)` pair. Mirrors the tuple
-/// executor's `Env`, but holds coordinates instead of values — the
-/// values stay in the shared columns.
+/// to a step, value slots to a `(step, column)` pair. It holds
+/// coordinates instead of values — the values stay in the shared
+/// columns.
 struct SlotMap {
     tuple: Vec<usize>,
     value: Vec<(usize, usize)>,
@@ -492,9 +485,6 @@ fn term_ref<'t>(t: &'t Term, sm: &SlotMap) -> TermRef<'t> {
             debug_assert_ne!(step, UNBOUND, "lowering only emits Var for bound slots");
             TermRef::Col { step, col }
         }
-        Term::Unbound(_) | Term::Wildcard => {
-            unreachable!("lazy-error terms never reach the batched path")
-        }
     }
 }
 
@@ -512,10 +502,9 @@ impl TermRef<'_> {
 // Execution context
 // ---------------------------------------------------------------------
 
-/// Per-execution state of the batched pipeline driver: the program's
-/// IDB materializations, lazily-built join tables (one slot per keyed scan
-/// or negation probe, like the tuple path's `IndexCache`), and the
-/// optional analyze tally.
+/// Per-execution state of a pipeline run: the program's IDB
+/// materializations, lazily-built join tables (one slot per keyed scan
+/// or negation probe), and the optional analyze tally.
 struct BatchCtx<'d, 'c> {
     db: &'d Database,
     symbols: &'d SymbolTable,
@@ -543,9 +532,9 @@ impl<'d, 'c> BatchCtx<'d, 'c> {
         }
     }
 
-    /// The columnar materialization of `rel` (IDB shadows EDB, exactly
-    /// like [`tuples_of`]): a stored relation's cached image, or the
-    /// IDB's, built on first use in this program.
+    /// The columnar materialization of `rel` (an IDB shadows a
+    /// same-named stored table): a stored relation's cached image, or
+    /// the IDB's, built on first use in this program.
     fn rel_data(&mut self, rel: &str) -> CoreResult<Arc<ColumnImage>> {
         let idbs = self.idbs;
         let Some(rows) = idbs.get(rel) else {
@@ -780,7 +769,7 @@ fn descend(
 /// Evaluates `f` for the batch rows in `sel`, returning one truth value
 /// per selected row. Conjunctions and disjunctions refine the selection
 /// as they go (a row decided by an earlier operand is never evaluated by
-/// a later one), matching the tuple path's per-row short-circuit.
+/// a later one) — a per-row short-circuit, applied batch-wide.
 fn eval_mask(
     f: &Formula,
     batch: &Batch,
@@ -930,8 +919,7 @@ fn eval_mask(
                 // rows agreeing on them share one verdict. Grouping the
                 // live rows by their dep values and running the scans
                 // once per *group* turns O(rows × inner) quantifier work
-                // into O(distinct bindings × inner) — the batched
-                // counterpart of the tuple path's per-row short-circuit.
+                // into O(distinct bindings × inner).
                 let mut deps: Vec<(usize, usize)> = Vec::new();
                 block_deps(block, sm, &mut deps);
                 deps.sort_unstable();
@@ -980,7 +968,7 @@ fn term_deps(t: &Term, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
                 out.push((step, col));
             }
         }
-        Term::Const(_) | Term::Unbound(_) | Term::Wildcard => {}
+        Term::Const(_) => {}
     }
 }
 
@@ -1113,9 +1101,8 @@ fn trivially_true(f: &Formula) -> bool {
     }
 }
 
-/// Batched [`exec::run_query`](crate::exec::run_query): executes one
-/// query branch over column chunks. Callers guarantee
-/// [`query_batchable`](crate::exec::execute) held.
+/// Executes one query branch over column chunks
+/// ([`exec::run_query`](crate::exec::run_query)).
 pub(crate) fn run_query(
     q: &QueryPlan,
     db: &Database,
@@ -1125,11 +1112,10 @@ pub(crate) fn run_query(
     let mut cache = RelCache::default();
     let mut ctx = BatchCtx::new(db, &idbs, q.shape.indexes, &mut cache, tally.take());
     let mut rows: Vec<Tuple> = Vec::new();
-    // Deferred head validation, vectorized: instead of re-entering the
-    // environment with each candidate tuple bound (the tuple path's
-    // `venv`), rewrite head-column references to the head's defining
-    // terms once and run the deferred conjuncts as ordinary
-    // selection-refining filters over the whole batch.
+    // Deferred head validation, vectorized: instead of binding each
+    // candidate tuple to the head slot, rewrite head-column references
+    // to the head's defining terms once and run the deferred conjuncts
+    // as ordinary selection-refining filters over the whole batch.
     let deferred: Vec<Formula> = q
         .deferred
         .iter()
@@ -1189,9 +1175,27 @@ pub(crate) fn run_query(
     Ok(out)
 }
 
-/// Batched [`run_rule`](crate::exec): executes one Datalog rule body,
-/// returning head projections (duplicates included — the stratum dedups,
-/// exactly like the tuple path).
+/// Evaluates a Boolean sentence
+/// ([`exec::run_sentence`](crate::exec::run_sentence)): its formula
+/// over the unit batch, exactly as [`run_pipeline`] evaluates a block's
+/// pre-scan conjuncts. A top-level `exists` seeds its scans from that
+/// one row and stops at the first satisfying assignment.
+pub(crate) fn run_sentence(
+    s: &SentencePlan,
+    db: &Database,
+    tally: &mut Option<TallyMap>,
+) -> CoreResult<bool> {
+    let idbs = IdbMap::new();
+    let mut cache = RelCache::default();
+    let mut ctx = BatchCtx::new(db, &idbs, s.shape.indexes, &mut cache, tally.take());
+    let mut sm = SlotMap::new(s.shape.tuple_slots, s.shape.value_slots);
+    let result = eval_mask(&s.formula, &Batch::unit(), &[0], &mut sm, &mut ctx);
+    *tally = ctx.tally.take();
+    Ok(result?[0])
+}
+
+/// Executes one Datalog rule body, returning head projections
+/// (duplicates included — the stratum dedups).
 pub(crate) fn run_rule(
     rule: &RulePlan,
     db: &Database,
@@ -1226,10 +1230,10 @@ pub(crate) fn run_rule(
 // Entry points: bulk operators
 // ---------------------------------------------------------------------
 
-/// Batched [`exec::run_ops`](crate::exec::run_ops): evaluates an RA\*
-/// operator tree bottom-up over row vectors instead of `BTreeSet`s,
+/// Evaluates an RA\* operator tree bottom-up
+/// ([`exec::run_ops`](crate::exec::run_ops)) over row vectors,
 /// deduplicating only where duplicates can appear (projection, union) —
-/// so every node's cardinality matches the tuple path's set sizes.
+/// so every node's cardinality is its set-semantics size.
 pub(crate) fn run_ops(
     op: &OpNode,
     db: &Database,

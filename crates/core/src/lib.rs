@@ -52,7 +52,7 @@ pub use cmp::CmpOp;
 pub use database::{Database, Relation, Tuple};
 pub use error::{CoreError, CoreResult};
 pub use generate::{enumerate_databases, DbGenerator, ExhaustiveDbIter};
-pub use plan::{build_index, scan_cost, DbStats, OrderStrategy, PlanHints, PlannerOpts};
+pub use plan::{scan_cost, DbStats, OrderStrategy, PlanHints, PlannerOpts};
 pub use schema::{Catalog, TableSchema};
 pub use stats::{ColumnStats, KmvSketch, TableStats};
 pub use storage::{scan_image_builds, ColumnImage, TupleSet};

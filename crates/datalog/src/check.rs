@@ -9,7 +9,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// 2. rule safety: every variable of the head, of negated atoms, and of
 ///    built-ins occurs in a positive relational subgoal [Ceri et al. 89];
 /// 3. non-recursive dependency graph;
-/// 4. no wildcard in rule heads;
+/// 4. no wildcard in rule heads or built-ins (a wildcard has no value
+///    to project or compare);
 /// 5. the query predicate is defined.
 pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
     let idbs = p.idbs();
@@ -67,6 +68,14 @@ pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
         {
             return Err(CoreError::Invalid(format!(
                 "wildcard not allowed in rule head: '{rule}'"
+            )));
+        }
+        if rule
+            .builtins()
+            .any(|b| matches!(b.left, DlTerm::Wildcard) || matches!(b.right, DlTerm::Wildcard))
+        {
+            return Err(CoreError::Invalid(format!(
+                "wildcard not allowed in built-in: '{rule}'"
             )));
         }
         for atom in rule.negative() {
@@ -315,5 +324,11 @@ mod tests {
     fn wildcard_in_head_rejected() {
         let p = parse_program_unchecked("Q(_) :- R(x, _).").unwrap();
         assert!(check_program(&p, &catalog()).is_err());
+        // Nor in a built-in: the same typed error, whatever the data.
+        let p = parse_program_unchecked("Q(x) :- R(x, _), x > _.").unwrap();
+        match check_program(&p, &catalog()) {
+            Err(CoreError::Invalid(msg)) => assert!(msg.contains("built-in"), "{msg}"),
+            other => panic!("expected an Invalid error, got {other:?}"),
+        }
     }
 }

@@ -23,7 +23,7 @@ use crate::ast::{Atom, DlProgram, DlTerm, Literal, Rule};
 use crate::check::topo_order;
 use rd_core::exec::{self, Block, EnvShape, ProgramPlan, RulePlan, Scan, Stratum};
 use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts, ScanCand};
-use rd_core::{plan, CmpOp, CoreResult, Database, Relation, TableSchema};
+use rd_core::{plan, CmpOp, CoreError, CoreResult, Database, Relation, TableSchema};
 use std::collections::{BTreeSet, HashMap};
 
 /// Evaluates the program's query predicate over `db`, returning a relation
@@ -216,6 +216,16 @@ fn scan_cands(rule: &Rule, positives: &[&Atom], stats: &plan::DbStats) -> Vec<Sc
     cands
 }
 
+/// The error for a variable no positive atom binds, in value position.
+fn unbound_variable(v: &str) -> CoreError {
+    CoreError::Invalid(format!("unbound variable '{v}'"))
+}
+
+/// The error for a wildcard in value position (a head or a built-in).
+fn wildcard_value() -> CoreError {
+    CoreError::Invalid("wildcard cannot be resolved to a value".into())
+}
+
 fn compile_rule(
     rule: &Rule,
     stats: &plan::DbStats,
@@ -263,26 +273,28 @@ fn compile_rule(
     // Returns None for negations that can never match (some variable
     // unbound: no tuple equals an unbound variable, so the negation is
     // vacuously true — the pre-planner evaluator behaved the same way).
+    // A built-in over a variable no positive atom binds (an unsafe rule
+    // that bypassed `check_program`) has no value to compare: an error.
     let compile_test = |lit: &Literal,
                         bound: &BTreeSet<String>,
                         slots_by_name: &HashMap<String, usize>,
                         n_indexes: &mut usize|
-     -> Option<exec::Formula> {
+     -> CoreResult<Option<exec::Formula>> {
         match lit {
             Literal::Cmp(b) => {
                 let term = |t: &DlTerm| match t {
-                    DlTerm::Const(c) => exec::Term::Const(c.clone()),
-                    DlTerm::Wildcard => exec::Term::Wildcard,
+                    DlTerm::Const(c) => Ok(exec::Term::Const(c.clone())),
+                    DlTerm::Wildcard => Err(wildcard_value()),
                     DlTerm::Var(v) => match slots_by_name.get(v.as_str()) {
-                        Some(&s) if bound.contains(v) => exec::Term::Var(s),
-                        _ => exec::Term::Unbound(v.clone()),
+                        Some(&s) if bound.contains(v) => Ok(exec::Term::Var(s)),
+                        _ => Err(unbound_variable(v)),
                     },
                 };
-                Some(exec::Formula::Pred(exec::Pred {
-                    left: term(&b.left),
+                Ok(Some(exec::Formula::Pred(exec::Pred {
+                    left: term(&b.left)?,
                     op: b.op,
-                    right: term(&b.right),
-                }))
+                    right: term(&b.right)?,
+                })))
             }
             Literal::Neg(a) => {
                 let mut cols = Vec::new();
@@ -296,7 +308,7 @@ fn compile_rule(
                         }
                         DlTerm::Var(v) => {
                             if !bound.contains(v) {
-                                return None; // vacuously true
+                                return Ok(None); // vacuously true
                             }
                             terms.push(exec::Term::Var(slots_by_name[v.as_str()]));
                             cols.push(i);
@@ -309,12 +321,12 @@ fn compile_rule(
                     *n_indexes += 1;
                     *n_indexes - 1
                 };
-                Some(exec::Formula::NegProbe {
+                Ok(Some(exec::Formula::NegProbe {
                     rel: a.pred.clone(),
                     cols,
                     terms,
                     index_id,
-                })
+                }))
             }
             Literal::Pos(_) => unreachable!("positives are scans"),
         }
@@ -325,7 +337,7 @@ fn compile_rule(
     for entry in pending.iter_mut() {
         if entry.as_ref().is_some_and(|p| p.vars.is_empty()) {
             let p = entry.take().expect("checked above");
-            if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes) {
+            if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes)? {
                 pre.push(t);
             }
         }
@@ -419,7 +431,7 @@ fn compile_rule(
                 .is_some_and(|p| p.vars.iter().all(|v| bound.contains(v)))
             {
                 let p = entry.take().expect("checked above");
-                if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes) {
+                if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes)? {
                     filters.push(t);
                 }
             }
@@ -436,22 +448,14 @@ fn compile_rule(
         });
     }
 
-    // Filters with variables no positive atom binds: keep the lazy
-    // failure behavior (error or vacuous truth) of the original
-    // evaluator by compiling them against the final bound set.
-    let mut leftovers = Vec::new();
-    for entry in pending.iter_mut() {
-        if let Some(p) = entry.take() {
-            if let Some(t) = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes) {
-                leftovers.push(t);
-            }
-        }
-    }
-    if !leftovers.is_empty() {
-        match scans.last_mut() {
-            Some(last) => last.filters.extend(leftovers),
-            None => pre.extend(leftovers),
-        }
+    // Filters with variables no positive atom binds: a negation is
+    // vacuously true, a built-in is an unbound-variable error.
+    for p in pending.into_iter().flatten() {
+        let test = compile_test(p.lit, &bound, &slots_by_name, &mut n_indexes)?;
+        debug_assert!(
+            test.is_none(),
+            "tests with every variable bound are placed above"
+        );
     }
 
     let head = rule
@@ -459,14 +463,14 @@ fn compile_rule(
         .terms
         .iter()
         .map(|t| match t {
-            DlTerm::Const(c) => exec::Term::Const(c.clone()),
-            DlTerm::Wildcard => exec::Term::Wildcard,
+            DlTerm::Const(c) => Ok(exec::Term::Const(c.clone())),
+            DlTerm::Wildcard => Err(wildcard_value()),
             DlTerm::Var(v) => match slots_by_name.get(v.as_str()) {
-                Some(&s) => exec::Term::Var(s),
-                None => exec::Term::Unbound(v.clone()),
+                Some(&s) => Ok(exec::Term::Var(s)),
+                None => Err(unbound_variable(v)),
             },
         })
-        .collect();
+        .collect::<CoreResult<Vec<_>>>()?;
 
     Ok((
         RulePlan {
@@ -638,5 +642,29 @@ mod tests {
         assert_eq!(a.tuples(), b.tuples());
         assert_eq!(ints(&a), vec![1]);
         assert_eq!(plan.strata.len(), 2, "I then Q");
+    }
+
+    /// Unsafe rules that bypass `check_program` fail when lowered, on
+    /// every database — an empty one included — instead of on the first
+    /// assignment that reaches the unbound term.
+    #[test]
+    fn unsafe_rules_fail_at_lowering() {
+        let empty = Database::empty_for(&catalog());
+        for (text, var) in [
+            ("Q(x, z) :- R(x, y).", "z"),
+            ("Q(x) :- R(x, _), y > 5.", "y"),
+        ] {
+            let p = crate::parser::parse_program_unchecked(text).unwrap();
+            for d in [db(), empty.clone()] {
+                match lower_program(&p, &d) {
+                    Err(CoreError::Invalid(msg)) => {
+                        assert_eq!(msg, format!("unbound variable '{var}'"), "{text}")
+                    }
+                    other => panic!("{text}: expected an unbound-variable error, got {other:?}"),
+                }
+            }
+        }
+        let p = crate::parser::parse_program_unchecked("Q(x) :- R(x, _), x > _.").unwrap();
+        assert!(lower_program(&p, &empty).is_err(), "wildcard in a built-in");
     }
 }

@@ -176,11 +176,11 @@ fn every_reported_span_stage_lands_in_the_registry() {
     }
 }
 
-/// Static explain carries the chosen execution mode per plan node: the
-/// join lowers to a batchable plan in every language, so the root must
-/// say `batched` without running anything.
+/// Static explain yields a plan tree in every language — scans (or an
+/// RA table leaf) for each of R and S — and a sentence explains as a
+/// `sentence` root over its quantifier.
 #[test]
-fn explain_reports_batched_mode_in_all_languages() {
+fn explain_yields_a_tree_in_all_languages() {
     let mut session = rs_session();
     let queries = [
         (
@@ -196,22 +196,22 @@ fn explain_reports_batched_mode_in_all_languages() {
     ];
     for (language, text) in queries {
         let resp = session.explain(language, text).unwrap();
-        assert!(
-            any_node(&resp.plan, &|n| n.mode.as_deref() == Some("batched")),
-            "{language}: no node reports batched mode: {resp:?}"
-        );
-        assert!(
-            !any_node(&resp.plan, &|n| n.mode.as_deref() == Some("tuple")),
-            "{language}: a batchable plan must not fall back: {resp:?}"
-        );
+        for table in ["R", "S"] {
+            assert!(
+                any_node(&resp.plan, &|n| (n.kind == "scan"
+                    && n.detail.starts_with(&format!("{table} ")))
+                    || (n.kind == "table" && n.detail == table)),
+                "{language}: no read of {table}: {resp:?}"
+            );
+        }
     }
-    // Sentences (closed formulas) always take the tuple interpreter.
     let sentence = session
         .explain(Language::Trc, "exists r in R [ r.A = 1 ]")
         .unwrap();
+    assert_eq!(sentence.plan.kind, "sentence", "{sentence:?}");
     assert!(
-        any_node(&sentence.plan, &|n| n.mode.as_deref() == Some("tuple")),
-        "sentence plans must report tuple mode: {sentence:?}"
+        any_node(&sentence.plan, &|n| n.kind == "exists"),
+        "{sentence:?}"
     );
 }
 
@@ -241,10 +241,10 @@ fn explain_analyze_reports_join_build_kind() {
     );
 }
 
-/// Session stats count which executor ran: batchable plans bump
-/// `batched_execs`, sentence plans fall back and bump `tuple_fallbacks`.
+/// One executor runs every plan, Boolean sentences included, so the
+/// `tuple_fallbacks` counter stays 0 — and the sentence still answers.
 #[test]
-fn session_stats_count_executor_modes() {
+fn session_stats_report_no_tuple_fallbacks() {
     let mut session = rs_session();
     session
         .run(&QueryRequest::new(
@@ -252,14 +252,16 @@ fn session_stats_count_executor_modes() {
             "SELECT DISTINCT R.A FROM R, S WHERE R.B = S.B",
         ))
         .unwrap();
-    assert_eq!(session.stats().batched_execs, 1);
-    assert_eq!(session.stats().tuple_fallbacks, 0);
-    session
+    let resp = session
         .run(&QueryRequest::new(
             Language::Trc,
             "exists r in R [ r.A = 1 ]",
         ))
         .unwrap();
-    assert_eq!(session.stats().batched_execs, 1);
-    assert_eq!(session.stats().tuple_fallbacks, 1);
+    assert_eq!(
+        resp.relation.len(),
+        1,
+        "true sentence is the 0-ary singleton"
+    );
+    assert_eq!(session.stats().tuple_fallbacks, 0);
 }

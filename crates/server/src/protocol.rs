@@ -627,7 +627,6 @@ fn session_stats_to_json(st: &SessionStats) -> Json {
         ("plan_evictions", u(st.plan_evictions)),
         ("delta_invalidations", u(st.delta_invalidations)),
         ("delta_survivals", u(st.delta_survivals)),
-        ("batched_execs", u(st.batched_execs)),
         ("tuple_fallbacks", u(st.tuple_fallbacks)),
         // Appended after the PR-8 fields (same compat contract).
         ("planner_replans", u(st.planner_replans)),
@@ -653,7 +652,6 @@ fn session_stats_from_json(v: &Json) -> Result<SessionStats, String> {
         delta_survivals: opt_u64(v, "delta_survivals")?,
         rows_returned: get_u64(v, "rows_returned")?,
         rows_streamed: opt_u64(v, "rows_streamed")?,
-        batched_execs: opt_u64(v, "batched_execs")?,
         tuple_fallbacks: opt_u64(v, "tuple_fallbacks")?,
         planner_replans: opt_u64(v, "planner_replans")?,
         planner_feedback_hits: opt_u64(v, "planner_feedback_hits")?,
@@ -682,11 +680,8 @@ fn explain_node_to_json(n: &ExplainNode) -> Json {
     if let Some(q) = n.q_error {
         pairs.push(("q_error", Json::Float(q)));
     }
-    // PR-8 executor fields, same append-only discipline: absent on
+    // The join-build field, same append-only discipline: absent on
     // structural nodes and on legacy frames.
-    if let Some(mode) = &n.mode {
-        pairs.push(("mode", s(mode)));
-    }
     if let Some(build) = &n.build {
         pairs.push(("build", s(build)));
     }
@@ -707,7 +702,7 @@ fn opt_f64_field(v: &Json, key: &str) -> Result<Option<f64>, String> {
 }
 
 /// A genuinely optional string field: absent/null stays `None` (legacy
-/// explain frames carry no `mode`/`build`).
+/// explain frames carry no `build`).
 fn opt_str_field(v: &Json, key: &str) -> Result<Option<String>, String> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -736,7 +731,6 @@ fn explain_node_from_json(v: &Json) -> Result<ExplainNode, String> {
         est_rows: opt_u64_field(v, "est_rows")?,
         actual_rows: opt_u64_field(v, "actual_rows")?,
         q_error: opt_f64_field(v, "q_error")?,
-        mode: opt_str_field(v, "mode")?,
         build: opt_str_field(v, "build")?,
     })
 }
@@ -1844,13 +1838,11 @@ mod tests {
                     est_rows: None,
                     actual_rows: None,
                     q_error: None,
-                    mode: None,
                     build: None,
                 }],
                 est_rows: None,
                 actual_rows: None,
                 q_error: None,
-                mode: None,
                 build: None,
             },
             cache_hit: true,
@@ -1887,13 +1879,11 @@ mod tests {
                     est_rows: Some(2),
                     actual_rows: Some(3),
                     q_error: Some(1.5),
-                    mode: None,
                     build: Some("hash".into()),
                 }],
                 est_rows: Some(2),
                 actual_rows: Some(2),
                 q_error: Some(1.0),
-                mode: Some("batched".into()),
                 build: None,
             },
             cache_hit: false,
@@ -1917,6 +1907,29 @@ mod tests {
                 assert_eq!(e.plan.children[0].actual_rows, None);
             }
             other => panic!("expected explain, got {other:?}"),
+        }
+        // A frame from a server that still reported the executor: a
+        // `mode` on explain nodes and `batched_execs` in `stats`. Both
+        // keys are ignored on decode.
+        let moded = r#"{"ok":true,"kind":"explain","language":"trc","canonical":"{ q(A) | ... }","plan":{"kind":"query","detail":"q(A)","children":[{"kind":"scan","detail":"R full scan","children":[]}],"mode":"tuple"},"cache_hit":false}"#;
+        match decode::<Response>(moded).unwrap() {
+            Response::Explain(e) => {
+                assert_eq!(e.plan.kind, "query");
+                assert_eq!(e.plan.children[0].detail, "R full scan");
+            }
+            other => panic!("expected explain, got {other:?}"),
+        }
+        let mut stats = StatsResult::default();
+        stats.sessions.tuple_fallbacks = 4;
+        let line = encode(&Response::Stats(stats));
+        let older = line.replace(
+            r#""tuple_fallbacks":4"#,
+            r#""batched_execs":3,"tuple_fallbacks":4"#,
+        );
+        assert_ne!(older, line, "replacement must hit");
+        match decode::<Response>(&older).unwrap() {
+            Response::Stats(st) => assert_eq!(st.sessions.tuple_fallbacks, 4),
+            other => panic!("expected stats, got {other:?}"),
         }
     }
 

@@ -2,12 +2,18 @@
 //! databases (with string *and* integer values) and random queries must
 //! evaluate identically through the interned path and through a
 //! string-resolved reference database ([`Database::uninterned`]), and the
-//! four languages must still agree with each other post-refactor.
+//! four languages must still agree with each other post-refactor. The
+//! larger cases are also checked against the textbook TRC oracle in
+//! `oracle/trc.rs`.
+
+#[path = "oracle/trc.rs"]
+mod trc_oracle;
 
 use proptest::prelude::*;
-use rd_core::exec::{execute_with, ExecOptions};
+use rd_core::exec::execute;
 use rd_core::{Catalog, Database, DbGenerator, Relation, TableSchema, Tuple, Value};
 use rd_trc::random::{GenConfig, QueryGenerator};
+use std::collections::BTreeSet;
 
 fn catalog() -> Catalog {
     Catalog::from_schemas([
@@ -68,19 +74,20 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
     ]
 }
 
-/// Runs `plan` batched and scalar over `db`, and batched over the
-/// string-resolved reference, asserting all three agree.
-fn assert_batched_scalar_reference_agree(
+/// Runs `plan` over `db` and `reference_plan` over the string-resolved
+/// reference, asserting both agree with the oracle's answer `expected`.
+fn assert_oracle_reference_agree(
     plan: &rd_core::exec::Plan,
     reference_plan: &rd_core::exec::Plan,
     db: &Database,
     raw: &Database,
+    expected: &BTreeSet<Tuple>,
     label: &str,
 ) {
-    let fast = execute_with(plan, db, ExecOptions { batch: true }).unwrap();
-    let slow = execute_with(plan, db, ExecOptions { batch: false }).unwrap();
-    assert_eq!(fast.tuples(), slow.tuples(), "{label}: batched vs scalar");
-    let reference = execute_with(reference_plan, raw, ExecOptions { batch: true }).unwrap();
+    let fast = execute(plan, db).unwrap();
+    let resolved: BTreeSet<Tuple> = db.resolve_relation(&fast).iter().cloned().collect();
+    assert_eq!(&resolved, expected, "{label}: engine vs oracle");
+    let reference = execute(reference_plan, raw).unwrap();
     assert_eq!(
         db.resolve_relation(&fast).tuples(),
         raw.resolve_relation(&reference).tuples(),
@@ -91,8 +98,8 @@ fn assert_batched_scalar_reference_agree(
 /// Relation sizes straddling the batch chunk size
 /// ([`rd_core::exec::CHUNK_ROWS`] = 1024): the last chunk of a scan is
 /// short (1023), exactly full (1024), or forces one extra chunk (1025).
-/// Results must be identical between the batched and scalar executors,
-/// in every language, interned or not.
+/// Results must equal the textbook oracle's, in every language, interned
+/// or not.
 #[test]
 fn chunk_boundary_sizes_agree_across_languages() {
     assert_eq!(
@@ -138,14 +145,16 @@ fn chunk_boundary_sizes_agree_across_languages() {
         db.add_relation(t);
 
         let raw = uninterned_copy(&db);
+        let expected = trc_oracle::answer(&q, &db);
         let plans = four_plans(&q, &cat, &db);
         let reference_plans = four_plans(&q, &cat, &raw);
         for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
-            assert_batched_scalar_reference_agree(
+            assert_oracle_reference_agree(
                 plan,
                 reference,
                 &db,
                 &raw,
+                &expected,
                 &format!("n={n} lang={lang}"),
             );
         }
@@ -247,11 +256,11 @@ proptest! {
         }
     }
 
-    /// The batched executor agrees with the tuple-at-a-time executor and
-    /// with the `Database::uninterned()` reference on databases of at
-    /// least 256 rows — enough volume that keyed probes, dense-key
-    /// tables, and quantifier pruning all do real work — across all four
-    /// languages.
+    /// The executor agrees with the textbook oracle (the scalar,
+    /// tuple-at-a-time reference) and with the `Database::uninterned()`
+    /// reference on databases of at least 256 rows — enough volume that
+    /// keyed probes, dense-key tables, and quantifier pruning all do
+    /// real work — across all four languages.
     #[test]
     fn batched_matches_scalar_and_uninterned_at_scale(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -262,11 +271,12 @@ proptest! {
             db = gen.next_db();
         }
         let raw = uninterned_copy(&db);
+        let expected = trc_oracle::answer(&q, &db);
         let plans = four_plans(&q, &cat, &db);
         let reference_plans = four_plans(&q, &cat, &raw);
         for (lang, (plan, reference)) in plans.iter().zip(&reference_plans).enumerate() {
-            assert_batched_scalar_reference_agree(plan, reference, &db, &raw,
-                                                  &format!("seed={seed} lang={lang}"));
+            assert_oracle_reference_agree(plan, reference, &db, &raw, &expected,
+                                          &format!("seed={seed} lang={lang}"));
         }
     }
 
