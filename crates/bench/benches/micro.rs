@@ -2,7 +2,8 @@
 //! canonicalization, translation, diagram round-trip, evaluation, and
 //! pattern-isomorphism checking.
 //!
-//! Setting `RD_BENCH_SMOKE=1` runs only the evaluation, plan-cache,
+//! Setting `RD_BENCH_SMOKE=1` runs only the evaluation (including the
+//! RA and Datalog forms that compile through the TRC hub), plan-cache,
 //! and delta-mutation benches with a single sample — CI's cheap "the
 //! benches still run" check.
 
@@ -132,6 +133,78 @@ fn bench_eval(c: &mut Criterion) {
     let plan = Plan::Sentence(rd_trc::lower_sentence(&sentence, &big).unwrap());
     c.bench_function("exec_trc_division_sentence_200rows", |b| {
         b.iter(|| execute(black_box(&plan), &big).unwrap())
+    });
+}
+
+/// The RA and Datalog forms that dominate the textbook workload, run
+/// as the engine compiles them: RA q14 (sailors older than Bob: a
+/// Sailors self-join under a selection) and Datalog q20 (sailors with
+/// the highest rating: an antijoin against a higher-rated sailor), over
+/// 1,000 sailors. Both lie in the fragments that compile through the
+/// TRC hub, so these time the TRC planner's plans for them.
+fn bench_hub_route(c: &mut Criterion) {
+    use rd_core::exec::execute;
+    use rd_core::{Database, Relation};
+    use rd_engine::Artifact;
+    use rd_translate::differential::FourWay;
+
+    let n = 1_000i64;
+    let mut db = Database::new();
+    db.add_relation(
+        Relation::from_rows(
+            TableSchema::new("Sailors", ["sid", "sname", "rating", "age"]),
+            (0..n).map(|i| {
+                let name = if i % 97 == 0 {
+                    "Bob".to_string()
+                } else {
+                    format!("s{}", i % 300)
+                };
+                [
+                    Value::int(i),
+                    Value::str(name),
+                    Value::int(i % 10 + 1),
+                    Value::int(18 + i % 50),
+                ]
+            }),
+        )
+        .unwrap(),
+    );
+    db.add_relation(
+        Relation::from_rows(
+            TableSchema::new("Boats", ["bid", "bname", "color"]),
+            (0..100i64).map(|i| {
+                [
+                    Value::int(100 + i),
+                    Value::str(format!("b{i}")),
+                    Value::str(["red", "green", "blue"][i as usize % 3]),
+                ]
+            }),
+        )
+        .unwrap(),
+    );
+    db.add_relation(
+        Relation::from_rows(
+            TableSchema::new("Reserves", ["sid", "bid", "day"]),
+            (0..3 * n).map(|i| [i % n, 100 + i * 7 % 100, i % 30]),
+        )
+        .unwrap(),
+    );
+    let catalog = db.catalog();
+    let four = |id: &str| {
+        let entry = rd_textbook::corpus()
+            .into_iter()
+            .find(|e| e.id == id)
+            .expect("corpus query");
+        let union = entry.parse();
+        FourWay::from_trc(&union.branches[0], &catalog).unwrap()
+    };
+    let ra_q14 = Artifact::Ra(four("q14").ra).compile(&db).unwrap();
+    c.bench_function("exec_ra_q14_selfjoin_r1000", |b| {
+        b.iter(|| execute(black_box(&ra_q14), &db).unwrap())
+    });
+    let datalog_q20 = Artifact::Datalog(four("q20").datalog).compile(&db).unwrap();
+    c.bench_function("exec_datalog_q20_antijoin_r1000", |b| {
+        b.iter(|| execute(black_box(&datalog_q20), &db).unwrap())
     });
 }
 
@@ -477,7 +550,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_parse, bench_translate, bench_diagram, bench_eval, bench_eval_strings,
-        bench_plan_cache, bench_tracing_overhead, bench_delta_mutation_cache, bench_join_order,
+        bench_hub_route, bench_plan_cache, bench_tracing_overhead, bench_delta_mutation_cache, bench_join_order,
         bench_delta_apply, bench_patterns
 }
 criterion_main!(benches);

@@ -19,14 +19,16 @@
 //!   slots (Datalog-style), probing a lazily-built join table when key
 //!   columns are bound, with filters (predicates, negated subplans,
 //!   quantified blocks, negated-atom probes) attached to the earliest
-//!   step after which their inputs are bound. TRC and SQL queries lower
-//!   to one pipeline per union branch; each Datalog rule lowers to one
-//!   pipeline, and a [`ProgramPlan`] sequences them by stratum.
-//! * **Bulk operators** ([`OpNode`]): the RA\* operator tree
-//!   (projection, selection, product, theta/natural join, difference,
-//!   union, antijoin) with conditions compiled to column indices and
-//!   interned constants, equi-join keys hashed, residual conditions
-//!   checked per bucket.
+//!   step after which their inputs are bound. TRC and SQL queries, RA\*⊲
+//!   expressions and Datalog\* programs (the last two through the TRC
+//!   hub) lower to one pipeline per union branch. For a Datalog program
+//!   outside Datalog\*, each rule lowers to one pipeline, and a
+//!   [`ProgramPlan`] sequences them by stratum.
+//! * **Bulk operators** ([`OpNode`]): the RA operator tree for
+//!   expressions outside RA\*⊲ (projection, selection, product,
+//!   theta/natural join, difference, union, antijoin) with conditions
+//!   compiled to column indices and interned constants, equi-join keys
+//!   hashed, residual conditions checked per bucket.
 //!
 //! [`explain`] renders any plan as a tree of scan order, join strategy,
 //! and bound keys — the diagnosability hook the service's `explain` op
@@ -322,9 +324,14 @@ pub enum Plan {
     Union(Vec<QueryPlan>),
     /// A Boolean sentence (evaluates to the 0-ary relation encoding).
     Sentence(SentencePlan),
-    /// A Datalog¬ program.
+    /// A Datalog¬ program outside Datalog\* (an IDB with several rules
+    /// or several uses). Datalog\* programs compile through the TRC hub
+    /// into [`Plan::Union`] instead.
     Program(ProgramPlan),
-    /// An RA\* operator tree.
+    /// An RA operator tree for an expression outside RA\*⊲ (union, a
+    /// disjunctive selection, a non-equality antijoin). RA\*⊲
+    /// expressions compile through the TRC hub into [`Plan::Union`]
+    /// instead.
     Ops {
         /// The root operator.
         root: OpNode,

@@ -1,6 +1,6 @@
 //! Abstract syntax for Datalog¬ programs.
 
-use rd_core::{CmpOp, Value};
+use rd_core::{CmpOp, TableSchema, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -203,6 +203,21 @@ impl DlProgram {
             .map(|r| r.head.pred.clone())
             .unwrap_or_default();
         DlProgram { rules, query }
+    }
+
+    /// The schema the program's answer is reported under: the query
+    /// predicate over positional attributes `x1, x2, …`.
+    pub fn output_schema(&self) -> TableSchema {
+        let arity = self
+            .rules
+            .iter()
+            .find(|r| r.head.pred == self.query)
+            .map(|r| r.head.terms.len())
+            .unwrap_or(0);
+        TableSchema::new(
+            self.query.clone(),
+            (1..=arity).map(|i| format!("x{i}")).collect::<Vec<_>>(),
+        )
     }
 
     /// The set of IDB predicates (those appearing in a rule head).

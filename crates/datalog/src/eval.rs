@@ -23,7 +23,7 @@ use crate::ast::{Atom, DlProgram, DlTerm, Literal, Rule};
 use crate::check::topo_order;
 use rd_core::exec::{self, Block, EnvShape, ProgramPlan, RulePlan, Scan, Stratum};
 use rd_core::plan::{OrderStrategy, PlanHints, PlannerOpts, ScanCand};
-use rd_core::{plan, CmpOp, CoreError, CoreResult, Database, Relation, TableSchema};
+use rd_core::{plan, CmpOp, CoreError, CoreResult, Database, Relation};
 use std::collections::{BTreeSet, HashMap};
 
 /// Evaluates the program's query predicate over `db`, returning a relation
@@ -100,20 +100,10 @@ pub fn lower_program_with(
             est_rows,
         });
     }
-    let arity = p
-        .rules
-        .iter()
-        .find(|r| r.head.pred == p.query)
-        .map(|r| r.head.terms.len())
-        .unwrap_or(0);
-    let out = TableSchema::new(
-        p.query.clone(),
-        (1..=arity).map(|i| format!("x{i}")).collect::<Vec<_>>(),
-    );
     Ok(ProgramPlan {
         strata,
         query: p.query.clone(),
-        out,
+        out: p.output_schema(),
     })
 }
 
@@ -490,7 +480,7 @@ fn compile_rule(
 mod tests {
     use super::*;
     use crate::parser::parse_program;
-    use rd_core::{Catalog, Tuple, Value};
+    use rd_core::{Catalog, TableSchema, Tuple, Value};
 
     fn db() -> Database {
         let mut db = Database::new();

@@ -3,11 +3,11 @@
 
 use crate::Language;
 use rd_core::exec::{self, Plan};
-use rd_core::{Catalog, CoreResult, Database, PlanHints, PlannerOpts, Relation};
+use rd_core::{Catalog, CoreResult, Database, PlanHints, PlannerOpts, Relation, TableSchema};
 use rd_datalog::DlProgram;
 use rd_ra::RaExpr;
 use rd_sql::SqlUnion;
-use rd_trc::TrcUnion;
+use rd_trc::{OutputSpec, TrcQuery, TrcUnion};
 
 /// A query parsed in its source language and brought to canonical form.
 ///
@@ -92,12 +92,20 @@ impl Artifact {
     /// feedback (observed result and per-stratum IDB sizes) back through
     /// `hints` when it re-plans a query whose estimates proved badly
     /// wrong.
+    ///
+    /// RA\*⊲ expressions and Datalog\* programs compile from their hub
+    /// TRC, so the TRC planner serves them; every other RA and Datalog
+    /// input (union, disjunctive selections, IDBs with several rules or
+    /// several uses) keeps its native lowering.
     pub fn compile_with(
         &self,
         db: &Database,
         opts: &PlannerOpts,
         hints: &PlanHints,
     ) -> CoreResult<Plan> {
+        if let Some(q) = self.hub_trc(&db.catalog())? {
+            return rd_trc::eval::lower_union_with(&TrcUnion::single(q), db, opts, hints);
+        }
         match self {
             Artifact::Trc(u) => rd_trc::eval::lower_union_with(u, db, opts, hints),
             Artifact::Sql(u) => rd_sql::lower_sql_with(u, db, opts, hints),
@@ -105,6 +113,28 @@ impl Artifact {
                 p, db, opts, hints,
             )?)),
             Artifact::Ra(e) => rd_ra::lower_with(e, db, opts, hints),
+        }
+    }
+
+    /// The TRC\* query an RA\*⊲ expression or a Datalog\* program
+    /// compiles from: Theorem 6's pattern-preserving translations
+    /// (`ra_to_datalog`, then `datalog_to_trc`), with the output head
+    /// named by the source language's own schema rule
+    /// ([`RaExpr::output_schema`], [`DlProgram::output_schema`]) so
+    /// answers keep their native name and attributes. `None` for TRC,
+    /// SQL, and RA or Datalog outside those fragments.
+    fn hub_trc(&self, catalog: &Catalog) -> CoreResult<Option<TrcQuery>> {
+        match self {
+            Artifact::Ra(e) if rd_ra::is_ra_star_antijoin(e) => {
+                let program = rd_translate::ra_to_datalog(e, catalog)?;
+                let head = output_head(&e.output_schema(catalog)?);
+                rd_translate::datalog_to_trc_as(&program, catalog, head).map(Some)
+            }
+            Artifact::Datalog(p) if rd_datalog::is_datalog_star(p) => {
+                let head = output_head(&p.output_schema());
+                rd_translate::datalog_to_trc_as(p, catalog, head).map(Some)
+            }
+            _ => Ok(None),
         }
     }
 
@@ -117,4 +147,9 @@ impl Artifact {
     pub fn eval(&self, db: &Database) -> CoreResult<Relation> {
         exec::execute(&self.compile(db)?, db)
     }
+}
+
+/// The TRC output head naming a native answer schema.
+fn output_head(schema: &TableSchema) -> OutputSpec {
+    OutputSpec::new(schema.name(), schema.attrs().to_vec())
 }

@@ -269,31 +269,25 @@ fn session_stats_accumulate_and_since_are_inverses() {
 }
 
 /// The feedback loop end to end: a Datalog program whose IDB estimate
-/// is badly wrong (pre-projection bound 100, actual distinct count 2)
-/// must trigger exactly one re-plan — the observed actuals are stored,
-/// the plan is recompiled with them as hints, and the refreshed cache
-/// entry carries the corrected per-stratum estimate. Repeats must NOT
-/// re-plan again (the feedback is already incorporated).
+/// is badly wrong (pre-projection bound 100 plus a second rule's share,
+/// actual distinct count 2) must trigger exactly one re-plan — the
+/// observed actuals are stored, the plan is recompiled with them as
+/// hints, and the refreshed cache entry carries the corrected
+/// per-stratum estimate. Repeats must NOT re-plan again (the feedback
+/// is already incorporated). The second rule for `I` keeps the program
+/// outside Datalog\*, so it lowers natively into strata.
 #[test]
 fn misestimated_program_replans_once_with_observed_actuals() {
-    use rd_core::{Database, Relation, TableSchema};
-    let mut db = Database::new();
-    db.add_relation(
-        Relation::from_rows(
-            TableSchema::new("R", ["A", "B"]),
-            (0..100i64).map(|i| [i % 2, i]).collect::<Vec<_>>(),
-        )
-        .unwrap(),
-    );
-    let mut session = Session::new(db);
-    let req = QueryRequest::new(Language::Datalog, "I(x) :- R(x, y). Q(x) :- I(x).");
+    const PROGRAM: &str = "I(x) :- R(x, y). I(x) :- R(x, y), y < 0. Q(x) :- I(x).";
+    let mut session = Session::new(hundred_row_r());
+    let req = QueryRequest::new(Language::Datalog, PROGRAM);
     let first = session.run(&req).unwrap();
     assert_eq!(first.relation.len(), 2);
     let stats = session.stats();
     assert_eq!(
         stats.planner_replans,
         1,
-        "q-error {} should have crossed the threshold",
+        "q-error of at least {} should have crossed the threshold",
         100.0 / 2.0
     );
     assert!(
@@ -302,9 +296,7 @@ fn misestimated_program_replans_once_with_observed_actuals() {
     );
     // The corrected plan is what explain now serves: the I stratum's
     // estimate is the observed size, not the EDB-derived bound.
-    let explain = session
-        .explain(Language::Datalog, "I(x) :- R(x, y). Q(x) :- I(x).")
-        .unwrap();
+    let explain = session.explain(Language::Datalog, PROGRAM).unwrap();
     let i_stratum = explain
         .plan
         .children
@@ -316,6 +308,44 @@ fn misestimated_program_replans_once_with_observed_actuals() {
     session.run(&req).unwrap();
     session.run(&req).unwrap();
     assert_eq!(session.stats().planner_replans, 1, "no thrash");
+}
+
+/// The Datalog\* form of the program above (one rule per IDB, each used
+/// once) compiles through the TRC hub: the IDB is inlined, so the plan
+/// has no strata (and no per-stratum feedback to re-plan with), and the
+/// answer is unchanged.
+#[test]
+fn datalog_star_program_compiles_through_the_trc_hub() {
+    const PROGRAM: &str = "I(x) :- R(x, y). Q(x) :- I(x).";
+    let mut session = Session::new(hundred_row_r());
+    let out = session
+        .run(&QueryRequest::new(Language::Datalog, PROGRAM))
+        .unwrap();
+    assert_eq!(out.relation.len(), 2);
+    assert_eq!(out.relation.schema().name(), "Q");
+    assert_eq!(out.relation.schema().attrs(), ["x1"]);
+    assert_eq!(session.stats().planner_replans, 0);
+    let explain = session.explain(Language::Datalog, PROGRAM).unwrap();
+    assert_eq!(explain.plan.kind, "query", "{:?}", explain.plan);
+    assert_eq!(explain.plan.detail, "Q(x1)");
+    fn has_stratum(n: &rd_core::exec::ExplainNode) -> bool {
+        n.kind == "stratum" || n.children.iter().any(has_stratum)
+    }
+    assert!(!has_stratum(&explain.plan), "{:?}", explain.plan);
+}
+
+/// `R(A, B)` with 100 rows over two distinct `A` values.
+fn hundred_row_r() -> rd_core::Database {
+    use rd_core::{Database, Relation, TableSchema};
+    let mut db = Database::new();
+    db.add_relation(
+        Relation::from_rows(
+            TableSchema::new("R", ["A", "B"]),
+            (0..100i64).map(|i| [i % 2, i]).collect::<Vec<_>>(),
+        )
+        .unwrap(),
+    );
+    db
 }
 
 /// Plan counters observed by a live session reach the same totals the

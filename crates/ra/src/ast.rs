@@ -1,6 +1,6 @@
 //! Relational algebra expressions and schema inference.
 
-use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value};
+use rd_core::{Catalog, CmpOp, CoreError, CoreResult, TableSchema, Value};
 use std::fmt;
 
 /// One side of a selection condition: an attribute of the input schema or
@@ -282,6 +282,12 @@ impl RaExpr {
             }
         }
         walk(self, index, to, &mut 0)
+    }
+
+    /// The schema an expression's answer is reported under: the
+    /// conventional result name `q` over [`schema`](RaExpr::schema).
+    pub fn output_schema(&self, catalog: &Catalog) -> CoreResult<TableSchema> {
+        TableSchema::try_new("q", self.schema(catalog)?)
     }
 
     /// Infers the output schema (ordered attribute names), validating the

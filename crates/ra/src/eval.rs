@@ -15,7 +15,7 @@
 use crate::ast::{Condition, RaExpr, RaTerm};
 use rd_core::exec::{self, OpNode, Plan};
 use rd_core::plan::{DbStats, OrderStrategy, PlanHints, PlannerOpts};
-use rd_core::{CmpOp, CoreError, CoreResult, Database, TableSchema, Tuple};
+use rd_core::{CmpOp, CoreError, CoreResult, Database, Tuple};
 use std::collections::BTreeSet;
 
 /// An intermediate (or final) evaluation result: attribute names plus the
@@ -83,10 +83,10 @@ pub fn lower_with(
     opts: &PlannerOpts,
     hints: &PlanHints,
 ) -> CoreResult<Plan> {
-    let (root, attrs) = compile_with(expr, db, opts, hints)?;
+    let (root, _) = compile_with(expr, db, opts, hints)?;
     Ok(Plan::Ops {
         root,
-        out: TableSchema::new("q", attrs),
+        out: expr.output_schema(&db.catalog())?,
     })
 }
 

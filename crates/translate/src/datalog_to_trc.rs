@@ -17,12 +17,31 @@ struct Ctx<'a> {
     catalog: &'a Catalog,
     idbs: std::collections::BTreeSet<String>,
     fresh: usize,
+    /// The output head's name, which no tuple variable may take.
+    head: &'a str,
+}
+
+/// Binds Datalog variable `var` to `rep`, or, when an earlier position
+/// already bound it (a call `I(v, v)` of a rule headed `I(y, z)`),
+/// records that the two terms must be equal.
+fn bind(env: &mut BTreeMap<String, Term>, parts: &mut Vec<Formula>, var: String, rep: Term) {
+    match env.get(&var) {
+        Some(prev) => parts.push(Formula::Pred(Predicate::new(prev.clone(), CmpOp::Eq, rep))),
+        None => {
+            env.insert(var, rep);
+        }
+    }
 }
 
 impl<'a> Ctx<'a> {
     fn fresh_var(&mut self) -> String {
-        self.fresh += 1;
-        format!("t{}", self.fresh)
+        loop {
+            self.fresh += 1;
+            let v = format!("t{}", self.fresh);
+            if v != self.head {
+                return v;
+            }
+        }
     }
 
     fn rule_for(&self, idb: &str) -> CoreResult<&'a Rule> {
@@ -94,30 +113,33 @@ impl<'a> Ctx<'a> {
                 {
                     let hv = match callee {
                         DlTerm::Var(v) => v.clone(),
-                        other => {
-                            return Err(CoreError::Invalid(format!(
-                                "IDB head term {other} is not a variable"
-                            )))
+                        DlTerm::Const(c) => {
+                            // A constant in the callee's head fixes the
+                            // caller's argument to it.
+                            let value = Term::Const(c.clone());
+                            match caller {
+                                DlTerm::Const(d) => parts.push(Formula::Pred(Predicate::new(
+                                    value,
+                                    CmpOp::Eq,
+                                    Term::Const(d.clone()),
+                                ))),
+                                DlTerm::Var(v) => bind(env, &mut parts, v.clone(), value),
+                                DlTerm::Wildcard => {}
+                            }
+                            continue;
+                        }
+                        DlTerm::Wildcard => {
+                            return Err(CoreError::Invalid("wildcard in IDB head".into()))
                         }
                     };
+                    // The callee head var may repeat (`I(y, y)`); `bind`
+                    // then adds an equality.
                     match caller {
                         DlTerm::Const(c) => {
-                            inner_env.insert(hv, Term::Const(c.clone()));
+                            bind(&mut inner_env, &mut parts, hv, Term::Const(c.clone()))
                         }
                         DlTerm::Var(v) => match env.get(v) {
-                            Some(rep) => {
-                                // The callee head var may repeat; add an
-                                // equality if already seeded.
-                                if let Some(prev) = inner_env.get(&hv) {
-                                    parts.push(Formula::Pred(Predicate::new(
-                                        prev.clone(),
-                                        CmpOp::Eq,
-                                        rep.clone(),
-                                    )));
-                                } else {
-                                    inner_env.insert(hv, rep.clone());
-                                }
-                            }
+                            Some(rep) => bind(&mut inner_env, &mut parts, hv, rep.clone()),
                             None => exports.push((i, v.clone())),
                         },
                         DlTerm::Wildcard => {}
@@ -139,7 +161,7 @@ impl<'a> Ctx<'a> {
                             atom.pred
                         ))
                     })?;
-                    env.insert(caller_var, rep);
+                    bind(env, &mut parts, caller_var, rep);
                 }
             }
         }
@@ -181,31 +203,31 @@ impl<'a> Ctx<'a> {
             let mut inner_env: BTreeMap<String, Term> = BTreeMap::new();
             let mut extra_eq: Vec<Formula> = Vec::new();
             for (callee, caller) in inner_rule.head.terms.iter().zip(&atom.terms) {
-                let hv = match callee {
-                    DlTerm::Var(v) => v.clone(),
-                    other => {
-                        return Err(CoreError::Invalid(format!(
-                            "IDB head term {other} is not a variable"
-                        )))
-                    }
-                };
                 let arg = match caller {
                     DlTerm::Const(c) => Term::Const(c.clone()),
                     DlTerm::Var(v) => env
                         .get(v)
                         .cloned()
                         .ok_or_else(|| CoreError::Invalid(format!("unbound variable '{v}'")))?,
+                    // `_` leaves the position free: the inlined body
+                    // quantifies it under the negation.
+                    DlTerm::Wildcard => continue,
+                };
+                let hv = match callee {
+                    DlTerm::Var(v) => v.clone(),
+                    DlTerm::Const(c) => {
+                        extra_eq.push(Formula::Pred(Predicate::new(
+                            Term::Const(c.clone()),
+                            CmpOp::Eq,
+                            arg,
+                        )));
+                        continue;
+                    }
                     DlTerm::Wildcard => {
-                        return Err(CoreError::Invalid(
-                            "wildcard argument to negated IDB unsupported".into(),
-                        ))
+                        return Err(CoreError::Invalid("wildcard in IDB head".into()))
                     }
                 };
-                if let Some(prev) = inner_env.get(&hv) {
-                    extra_eq.push(Formula::Pred(Predicate::new(prev.clone(), CmpOp::Eq, arg)));
-                } else {
-                    inner_env.insert(hv, arg);
-                }
+                bind(&mut inner_env, &mut extra_eq, hv, arg);
             }
             let (bindings, mut parts) = self.expand_body(inner_rule, &mut inner_env)?;
             parts.extend(extra_eq);
@@ -246,25 +268,11 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Translates a Datalog\* program into a pattern-isomorphic TRC\* query.
+/// Translates a Datalog\* program into a pattern-isomorphic TRC\* query
+/// whose output head `q` names each attribute after the query rule's
+/// head variable.
 pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcQuery> {
-    rd_datalog::check::check_program(p, catalog)?;
-    if !rd_datalog::check::is_datalog_star(p) {
-        return Err(CoreError::Invalid(
-            "program is outside Datalog* (Definition 1)".into(),
-        ));
-    }
-    let mut ctx = Ctx {
-        program: p,
-        catalog,
-        idbs: p.idbs(),
-        fresh: 0,
-    };
-    let query_rule = ctx.rule_for(&p.query)?;
-    let mut env = BTreeMap::new();
-    let (bindings, mut parts) = ctx.expand_body(query_rule, &mut env)?;
-    // Output head: one attribute per head variable, named after it.
-    let head_vars: Vec<String> = query_rule
+    let vars = query_rule(p)?
         .head
         .terms
         .iter()
@@ -274,26 +282,71 @@ pub fn datalog_to_trc(p: &DlProgram, catalog: &Catalog) -> CoreResult<TrcQuery> 
                 "query head term {other} is not a variable"
             ))),
         })
-        .collect::<CoreResult<_>>()?;
-    let mut defining = Vec::with_capacity(head_vars.len());
-    for v in &head_vars {
-        let rep = env
-            .get(v)
-            .cloned()
-            .ok_or_else(|| CoreError::Invalid(format!("head variable '{v}' unbound")))?;
+        .collect::<CoreResult<Vec<String>>>()?;
+    datalog_to_trc_as(p, catalog, OutputSpec::new("q", vars))
+}
+
+/// [`datalog_to_trc`] with a given output head: attribute `i` of `head`
+/// is defined by the query rule's `i`-th head term, a variable or a
+/// constant. This is how a program is answered under its own schema
+/// ([`DlProgram::output_schema`]) when it compiles through TRC.
+pub fn datalog_to_trc_as(
+    p: &DlProgram,
+    catalog: &Catalog,
+    head: OutputSpec,
+) -> CoreResult<TrcQuery> {
+    rd_datalog::check::check_program(p, catalog)?;
+    if !rd_datalog::check::is_datalog_star(p) {
+        return Err(CoreError::Invalid(
+            "program is outside Datalog* (Definition 1)".into(),
+        ));
+    }
+    let query_rule = query_rule(p)?;
+    if query_rule.head.terms.len() != head.attrs.len() {
+        return Err(CoreError::Invalid(format!(
+            "output head {}({}) does not match the arity of {}",
+            head.name,
+            head.attrs.join(", "),
+            query_rule.head
+        )));
+    }
+    let mut ctx = Ctx {
+        program: p,
+        catalog,
+        idbs: p.idbs(),
+        fresh: 0,
+        head: &head.name,
+    };
+    let mut env = BTreeMap::new();
+    let (bindings, mut parts) = ctx.expand_body(query_rule, &mut env)?;
+    let mut defining = Vec::with_capacity(head.attrs.len());
+    for (attr, term) in head.attrs.iter().zip(&query_rule.head.terms) {
+        let rep = match term {
+            DlTerm::Var(v) => env
+                .get(v)
+                .cloned()
+                .ok_or_else(|| CoreError::Invalid(format!("head variable '{v}' unbound")))?,
+            DlTerm::Const(c) => Term::Const(c.clone()),
+            DlTerm::Wildcard => return Err(CoreError::Invalid("wildcard in query head".into())),
+        };
         defining.push(Formula::Pred(Predicate::new(
-            Term::attr("q", v.clone()),
+            Term::attr(head.name.clone(), attr.clone()),
             CmpOp::Eq,
             rep,
         )));
     }
     defining.append(&mut parts);
-    let q = TrcQuery::query(
-        OutputSpec::new("q", head_vars),
-        Formula::exists(bindings, Formula::and(defining)),
-    );
+    let q = TrcQuery::query(head, Formula::exists(bindings, Formula::and(defining)));
     q.check(catalog)?;
     Ok(q)
+}
+
+/// The rule defining the program's query predicate.
+fn query_rule(p: &DlProgram) -> CoreResult<&Rule> {
+    p.rules
+        .iter()
+        .find(|r| r.head.pred == p.query)
+        .ok_or_else(|| CoreError::Invalid(format!("IDB '{}' has no rule", p.query)))
 }
 
 #[cfg(test)]
@@ -397,6 +450,31 @@ mod tests {
         let q = datalog_to_trc(&p, &catalog()).unwrap();
         let out = eval_query(&q, &d).unwrap();
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn repeated_variable_across_an_idb_call() {
+        // The caller's `I(x, x)` equates the callee's two head variables;
+        // the callee's `I(y, y)` equates the caller's two arguments.
+        let mut d = db();
+        d.relation_mut("R")
+            .unwrap()
+            .insert_values([7i64, 7])
+            .unwrap();
+        for program in [
+            "I(y, z) :- R(y, z).\nQ(x) :- I(x, x).",
+            "I(y, 10) :- R(y, _).\nQ(x) :- I(x, x).",
+            "I(y, 7) :- R(y, _).\nQ(x) :- I(x, x).",
+            "I(y, y) :- S(y).\nQ(x) :- R(x, y), I(y, 10).",
+        ] {
+            let p = parse_program(program, &catalog()).unwrap();
+            let q = datalog_to_trc(&p, &catalog()).unwrap();
+            assert_eq!(
+                eval_query(&q, &d).unwrap().tuples(),
+                eval_program(&p, &d).unwrap().tuples(),
+                "mismatch for:\n{program}\ntrc: {q}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod ra_to_datalog;
 pub mod trc_to_datalog;
 
 pub use datalog_to_ra::{datalog_to_ra, datalog_to_ra_antijoin};
-pub use datalog_to_trc::datalog_to_trc;
+pub use datalog_to_trc::{datalog_to_trc, datalog_to_trc_as};
 pub use differential::{check_equivalent_results, FourWay};
 pub use ra_to_datalog::ra_to_datalog;
 pub use trc_to_datalog::trc_to_datalog;

@@ -221,8 +221,14 @@ impl<'a> Compiler<'a> {
         // Fast path: the right side is a single positive EDB atom with no
         // extra conditions — negate it in place (paper's inline form, as
         // in eq. 16). The atom's joined positions take the left's
-        // variables; remaining positions become wildcards.
-        if rb.literals.len() == 1 {
+        // variables; remaining positions become wildcards. A right
+        // attribute joined twice (`[A = B and B = B]`) equates two left
+        // attributes under the negation, which one atom cannot say.
+        let repeated_right = join_pairs
+            .iter()
+            .enumerate()
+            .any(|(i, (_, ra))| join_pairs[..i].iter().any(|(_, prev)| prev == ra));
+        if rb.literals.len() == 1 && !repeated_right {
             if let Literal::Pos(atom) = &rb.literals[0] {
                 let mut terms = Vec::with_capacity(atom.terms.len());
                 for (i, t) in atom.terms.iter().enumerate() {
@@ -414,6 +420,31 @@ mod tests {
                 .iter()
                 .cloned()
                 .collect::<std::collections::BTreeSet<_>>()
+        );
+    }
+
+    #[test]
+    fn antijoin_joining_one_right_attribute_twice_keeps_both_equalities() {
+        // `A = B and B = B` removes an R row only when A = B and B is in
+        // S; negating `S(A)` alone would also remove (10, 20).
+        let text = "R antijoin[A=B and B=B] S";
+        let e = ra_parse(text, &catalog()).unwrap();
+        let p = ra_to_datalog(&e, &catalog()).unwrap();
+        assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
+        let mut d = db();
+        let r = d.relation_mut("R").unwrap();
+        r.insert_values([10i64, 20]).unwrap();
+        r.insert_values([10i64, 10]).unwrap();
+        let ra_out = ra_eval(&e, &d).unwrap();
+        let dl_out = eval_program(&p, &d).unwrap();
+        assert_eq!(ra_out.tuples.len(), 5, "only (10, 10) goes");
+        assert_eq!(
+            &ra_out.tuples,
+            &dl_out
+                .iter()
+                .cloned()
+                .collect::<std::collections::BTreeSet<_>>(),
+            "program:\n{p}"
         );
     }
 

@@ -16,7 +16,10 @@
 //!    keys, then smaller relations), equality predicates against
 //!    already-bound terms become **hash-join keys**, and every other
 //!    conjunct (filters, negated/quantified subformulas) is attached to
-//!    the earliest scan after which its variables are bound.
+//!    the earliest scan after which its variables are bound. A nested
+//!    block whose bindings share no conjunct is first split into one
+//!    block per connected component, so independent ranges are tested
+//!    one by one rather than as a cross product.
 //! 2. **Execute.** The shared executor ([`rd_core::exec::execute`])
 //!    runs the plan: keyed scans probe lazily-built hash indexes,
 //!    unkeyed scans iterate. Output tuples are computed from the
@@ -146,21 +149,47 @@ impl<'d> Compiler<'d> {
                     .collect::<CoreResult<_>>()?,
             )),
             Formula::Not(sub) => Ok(exec::Formula::Not(Box::new(self.compile_formula(sub)?))),
-            Formula::Exists(bindings, body) => {
-                Ok(exec::Formula::Exists(self.compile_exists(bindings, body)?))
-            }
+            Formula::Exists(bindings, body) => self.compile_exists(bindings, body),
             Formula::Pred(p) => self.compile_pred(p),
         }
     }
 
-    fn compile_exists(&mut self, bindings: &[Binding], body: &Formula) -> CoreResult<Block> {
+    /// Compiles a nested existential block. A block whose bindings fall
+    /// into several connected components (see [`components`]) is split:
+    /// `∃a,b [A(a) ∧ B(b) ∧ O] ≡ O ∧ ∃a [A(a)] ∧ ∃b [B(b)]`, so the
+    /// executor tests each component on its own instead of enumerating
+    /// their cross product.
+    fn compile_exists(
+        &mut self,
+        bindings: &[Binding],
+        body: &Formula,
+    ) -> CoreResult<exec::Formula> {
+        let conjs = conjuncts(body);
+        let Some((groups, outer)) = components(bindings, &conjs) else {
+            return Ok(exec::Formula::Exists(self.plan_exists(bindings, &conjs)?));
+        };
+        let mut parts = outer
+            .iter()
+            .map(|f| self.compile_formula(f))
+            .collect::<CoreResult<Vec<_>>>()?;
+        for (group_bindings, group_conjs) in groups {
+            parts.push(exec::Formula::Exists(
+                self.plan_exists(&group_bindings, &group_conjs)?,
+            ));
+        }
+        Ok(exec::Formula::And(parts))
+    }
+
+    /// Plans one existential block in a scope of its own: its bindings
+    /// are visible (and bound) only while it is planned.
+    fn plan_exists(&mut self, bindings: &[Binding], conjs: &[Formula]) -> CoreResult<Block> {
         let scope_mark = self.scope.len();
         let bound_snapshot = self.bound.clone();
         let mut slots = Vec::with_capacity(bindings.len());
         for b in bindings {
             slots.push(self.push_binding(b)?);
         }
-        let block = self.plan_block(bindings, &slots, &conjuncts(body));
+        let block = self.plan_block(bindings, &slots, conjs);
         self.scope.truncate(scope_mark);
         self.bound = bound_snapshot;
         block
@@ -331,13 +360,6 @@ impl<'d> Compiler<'d> {
         // equalities.
         let mut nodes: Vec<(usize, usize)> = Vec::new();
         let mut parent: Vec<usize> = Vec::new();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
         let node_id =
             |nodes: &mut Vec<(usize, usize)>, parent: &mut Vec<usize>, e: (usize, usize)| {
                 match nodes.iter().position(|&n| n == e) {
@@ -689,6 +711,78 @@ fn conjuncts(f: &Formula) -> Vec<Formula> {
     }
 }
 
+/// Union-find root of `i` in the forest `parent` (with path halving).
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// One connected component of an existential block: its bindings (in
+/// block order) and the conjuncts that mention them.
+type Component = (Vec<Binding>, Vec<Formula>);
+
+/// Splits an existential block into its connected components, or
+/// returns `None` when it has only one. Two bindings are connected when
+/// some conjunct mentions both (a nested formula counts through its free
+/// variables, so bindings linked only inside a `not (exists …)` stay
+/// together). The second part holds the conjuncts that mention no block
+/// variable. A block that binds one name twice is not split.
+fn components(bindings: &[Binding], conjs: &[Formula]) -> Option<(Vec<Component>, Vec<Formula>)> {
+    let index: HashMap<&str, usize> = bindings
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (b.var.as_str(), i))
+        .collect();
+    if bindings.len() < 2 || index.len() != bindings.len() {
+        return None;
+    }
+    let mut parent: Vec<usize> = (0..bindings.len()).collect();
+    let mentioned: Vec<Vec<usize>> = conjs
+        .iter()
+        .map(|f| {
+            f.free_vars()
+                .iter()
+                .filter_map(|v| index.get(v.as_str()).copied())
+                .collect()
+        })
+        .collect();
+    for m in &mentioned {
+        for pair in m.windows(2) {
+            let (a, b) = (find(&mut parent, pair[0]), find(&mut parent, pair[1]));
+            parent[a] = b;
+        }
+    }
+    // Components are numbered in order of their first binding.
+    let mut roots: Vec<usize> = Vec::new();
+    let group_of: Vec<usize> = (0..bindings.len())
+        .map(|i| {
+            let root = find(&mut parent, i);
+            roots.iter().position(|&r| r == root).unwrap_or_else(|| {
+                roots.push(root);
+                roots.len() - 1
+            })
+        })
+        .collect();
+    if roots.len() < 2 {
+        return None;
+    }
+    let mut groups: Vec<Component> = vec![(Vec::new(), Vec::new()); roots.len()];
+    for (b, &g) in bindings.iter().zip(&group_of) {
+        groups[g].0.push(b.clone());
+    }
+    let mut outer = Vec::new();
+    for (f, m) in conjs.iter().zip(&mentioned) {
+        match m.first() {
+            Some(&i) => groups[group_of[i]].1.push(f.clone()),
+            None => outer.push(f.clone()),
+        }
+    }
+    Some((groups, outer))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,6 +994,197 @@ mod tests {
             eval_query(&a, &db).unwrap().tuples(),
             eval_query(&b, &db).unwrap().tuples()
         );
+    }
+
+    /// `Sailors(sid, sname, rating)`: two sailors share the top rating
+    /// 9, and sailors 2 and 4 share a name.
+    fn sailors_db() -> (Catalog, Database) {
+        let schema = TableSchema::new("Sailors", ["sid", "sname", "rating"]);
+        let catalog =
+            Catalog::from_schemas([schema.clone(), TableSchema::new("S", ["B"])]).unwrap();
+        let mut db = Database::new();
+        db.add_relation(
+            Relation::from_rows(
+                schema,
+                [
+                    [Value::int(1), Value::str("ann"), Value::int(9)],
+                    [Value::int(2), Value::str("bob"), Value::int(5)],
+                    [Value::int(3), Value::str("cy"), Value::int(9)],
+                    [Value::int(4), Value::str("bob"), Value::int(7)],
+                ],
+            )
+            .unwrap(),
+        );
+        db.add_relation(Relation::empty(TableSchema::new("S", ["B"])));
+        (catalog, db)
+    }
+
+    /// Every formula of a block, nested ones included, in plan order.
+    fn block_formulas(b: &Block) -> Vec<&exec::Formula> {
+        let mut out = Vec::new();
+        fn walk<'a>(f: &'a exec::Formula, out: &mut Vec<&'a exec::Formula>) {
+            out.push(f);
+            match f {
+                exec::Formula::And(fs) | exec::Formula::Or(fs) => {
+                    fs.iter().for_each(|g| walk(g, out))
+                }
+                exec::Formula::Not(g) => walk(g, out),
+                exec::Formula::Exists(b) => {
+                    for g in b.pre.iter().chain(b.scans.iter().flat_map(|s| &s.filters)) {
+                        walk(g, out);
+                    }
+                }
+                exec::Formula::Pred(_) | exec::Formula::NegProbe { .. } => {}
+            }
+        }
+        for f in b.pre.iter().chain(b.scans.iter().flat_map(|s| &s.filters)) {
+            walk(f, &mut out);
+        }
+        out
+    }
+
+    /// Undoes the component split: every `and` of `exists` blocks (plus
+    /// scan-free conjuncts) becomes one block over all their scans — the
+    /// single cross-product block the split replaced.
+    fn merge_components(f: &mut exec::Formula) {
+        match f {
+            exec::Formula::And(fs) => {
+                fs.iter_mut().for_each(merge_components);
+                if fs.iter().any(|g| matches!(g, exec::Formula::Exists(_))) {
+                    let mut merged = Block {
+                        pre: Vec::new(),
+                        scans: Vec::new(),
+                    };
+                    for g in fs.drain(..) {
+                        match g {
+                            exec::Formula::Exists(b) => {
+                                merged.pre.extend(b.pre);
+                                merged.scans.extend(b.scans);
+                            }
+                            other => merged.pre.push(other),
+                        }
+                    }
+                    *f = exec::Formula::Exists(merged);
+                }
+            }
+            exec::Formula::Or(fs) => fs.iter_mut().for_each(merge_components),
+            exec::Formula::Not(g) => merge_components(g),
+            exec::Formula::Exists(b) => merge_block(b),
+            exec::Formula::Pred(_) | exec::Formula::NegProbe { .. } => {}
+        }
+    }
+
+    fn merge_block(b: &mut Block) {
+        for f in b
+            .pre
+            .iter_mut()
+            .chain(b.scans.iter_mut().flat_map(|s| &mut s.filters))
+        {
+            merge_components(f);
+        }
+    }
+
+    #[test]
+    fn independent_bindings_split_into_one_exists_each() {
+        let (cat, db) = sailors_db();
+        // The hub TRC of RA q20: sailors with no higher-rated sailor.
+        let q = parse_query(
+            "{ q(sid) | exists t1 in Sailors [ q.sid = t1.sid and not (exists t2 in Sailors, \
+             t3 in Sailors, t4 in Sailors [ t3.rating = t1.rating and t4.sname = t1.sname \
+             and t2.rating > t1.rating ]) ] }",
+            &cat,
+        )
+        .unwrap();
+        let plan = lower_query(&q, &db).unwrap();
+        let negated = block_formulas(&plan.root)
+            .into_iter()
+            .find_map(|f| match f {
+                exec::Formula::Not(inner) => Some(&**inner),
+                _ => None,
+            })
+            .expect("the negated block");
+        let exec::Formula::And(parts) = negated else {
+            panic!("expected one `and` of components, got {negated:?}");
+        };
+        assert_eq!(parts.len(), 3, "{parts:?}");
+        for part in parts {
+            assert!(
+                matches!(part, exec::Formula::Exists(b) if b.scans.len() == 1),
+                "{part:?}"
+            );
+        }
+        let node = exec::explain(&Plan::Union(vec![plan.clone()]));
+        fn count(n: &rd_core::exec::ExplainNode, kind: &str) -> usize {
+            usize::from(n.kind == kind) + n.children.iter().map(|c| count(c, kind)).sum::<usize>()
+        }
+        assert_eq!(count(&node, "exists"), 3, "{node:?}");
+        assert_eq!(count(&node, "and"), 1, "{node:?}");
+
+        let mut single = plan.clone();
+        merge_block(&mut single.root);
+        assert!(
+            block_formulas(&single.root)
+                .iter()
+                .any(|f| matches!(f, exec::Formula::Exists(b) if b.scans.len() == 3)),
+            "the merged plan is one 3-scan block"
+        );
+        let split = exec::run_query(&plan, &db).unwrap();
+        assert_eq!(
+            split.tuples(),
+            exec::run_query(&single, &db).unwrap().tuples()
+        );
+        let sids: Vec<&Value> = split.iter().map(|t| t.get(0)).collect();
+        assert_eq!(sids, vec![&Value::int(1), &Value::int(3)]);
+    }
+
+    #[test]
+    fn bindings_linked_through_a_nested_negation_stay_in_one_block() {
+        let (cat, db) = sailors_db();
+        // t2 and t3 share no predicate; only the inner `not exists`
+        // mentions both, which still connects them.
+        let q = parse_query(
+            "{ q(sid) | exists t1 in Sailors [ q.sid = t1.sid and not (exists t2 in Sailors, \
+             t3 in Sailors [ t2.rating > t1.rating and not (exists t4 in Sailors [ \
+             t4.sname = t2.sname and t4.rating = t3.rating ]) ]) ] }",
+            &cat,
+        )
+        .unwrap();
+        let plan = lower_query(&q, &db).unwrap();
+        let formulas = block_formulas(&plan.root);
+        assert!(
+            !formulas.iter().any(|f| matches!(f, exec::Formula::And(_))),
+            "nothing split: {formulas:?}"
+        );
+        assert!(formulas
+            .iter()
+            .any(|f| matches!(f, exec::Formula::Exists(b) if b.scans.len() == 2)));
+    }
+
+    #[test]
+    fn empty_bodied_component_is_false_over_an_empty_range() {
+        let (cat, mut db) = sailors_db();
+        // `s` is mentioned by no conjunct: its component is the bare
+        // `exists s in S [ ]`, true iff S has a row.
+        let q = parse_query(
+            "{ q(sid) | exists t1 in Sailors [ q.sid = t1.sid and not (exists t2 in Sailors, \
+             s in S [ t2.rating > t1.rating ]) ] }",
+            &cat,
+        )
+        .unwrap();
+        let plan = lower_query(&q, &db).unwrap();
+        assert!(block_formulas(&plan.root).iter().any(|f| matches!(
+            f,
+            exec::Formula::Exists(b) if b.scans.len() == 1
+                && b.scans[0].rel == "S"
+                && b.pre.is_empty()
+                && b.scans[0].filters.is_empty()
+        )));
+        // S is empty: the negated conjunction holds for every sailor.
+        assert_eq!(exec::run_query(&plan, &db).unwrap().len(), 4);
+        db.insert_rows("S", &[rd_core::Tuple::new([1i64])]).unwrap();
+        let plan = lower_query(&q, &db).unwrap();
+        // S has a row: only the top-rated sailors remain.
+        assert_eq!(exec::run_query(&plan, &db).unwrap().len(), 2);
     }
 
     #[test]
