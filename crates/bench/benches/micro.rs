@@ -2,10 +2,10 @@
 //! canonicalization, translation, diagram round-trip, evaluation, and
 //! pattern-isomorphism checking.
 //!
-//! Setting `RD_BENCH_SMOKE=1` runs only the evaluation (including the
-//! RA and Datalog forms that compile through the TRC hub), plan-cache,
-//! and delta-mutation benches with a single sample — CI's cheap "the
-//! benches still run" check.
+//! Setting `RD_BENCH_SMOKE=1` runs only the evaluation (including RA and
+//! Datalog over 1,000 sailors, as one TRC branch and with views),
+//! plan-cache, and delta-mutation benches with a single sample — CI's
+//! cheap "the benches still run" check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rd_core::{Catalog, DbGenerator, TableSchema, Value};
@@ -101,13 +101,21 @@ fn bench_eval(c: &mut Criterion) {
     c.bench_function("eval_trc_division_30rows", |b| {
         b.iter(|| rd_trc::eval_query(black_box(&q), &db).unwrap())
     });
-    let p = rd_translate::trc_to_datalog(&q, &cat).unwrap();
+    // RA and Datalog evaluate as the engine runs them: compile through
+    // the TRC hub, then execute.
+    use rd_core::exec::{execute, Plan};
+    use rd_engine::Artifact;
+    let eval = |a: &Artifact, db: &rd_core::Database| execute(&a.compile(db).unwrap(), db).unwrap();
+    let p = Artifact::Datalog(rd_translate::trc_to_datalog(&q, &cat).unwrap());
     c.bench_function("eval_datalog_division_30rows", |b| {
-        b.iter(|| rd_datalog::eval_program(black_box(&p), &db).unwrap())
+        b.iter(|| eval(black_box(&p), &db))
     });
-    let e = rd_translate::datalog_to_ra(&p, &cat).unwrap();
+    let Artifact::Datalog(program) = &p else {
+        unreachable!()
+    };
+    let e = Artifact::Ra(rd_translate::datalog_to_ra(program, &cat).unwrap());
     c.bench_function("eval_ra_division_30rows", |b| {
-        b.iter(|| rd_ra::eval(black_box(&e), &db).unwrap())
+        b.iter(|| eval(black_box(&e), &db))
     });
     // The join-heavy regime where planning + hash joins dominate: the
     // same division pattern over a 200-row instance.
@@ -117,13 +125,12 @@ fn bench_eval(c: &mut Criterion) {
         b.iter(|| rd_trc::eval_query(black_box(&q), &big).unwrap())
     });
     c.bench_function("eval_datalog_division_200rows", |b| {
-        b.iter(|| rd_datalog::eval_program(black_box(&p), &big).unwrap())
+        b.iter(|| eval(black_box(&p), &big))
     });
     // Executor-only timings over the 200-row instance: the compiled
     // division plan, and its Boolean form (does any A divide S?) — the
     // sentence runs its formula over the unit batch, and the top-level
     // `exists` stops at the first witness.
-    use rd_core::exec::{execute, Plan};
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     let plan = rd_trc::lower_union(&trc_u, &big).unwrap();
     c.bench_function("exec_trc_division_200rows_batched", |b| {
@@ -136,14 +143,15 @@ fn bench_eval(c: &mut Criterion) {
     });
 }
 
-/// The RA and Datalog forms that dominate the textbook workload, run
-/// as the engine compiles them: RA q14 (sailors older than Bob: a
+/// RA and Datalog over 1,000 sailors, run as the engine compiles them.
+/// The forms that dominate the textbook workload lie in the fragments
+/// and compile to one TRC branch: RA q14 (sailors older than Bob: a
 /// Sailors self-join under a selection) and Datalog q20 (sailors with
-/// the highest rating: an antijoin against a higher-rated sailor), over
-/// 1,000 sailors. Both lie in the fragments that compile through the
-/// TRC hub, so these time the TRC planner's plans for them.
+/// the highest rating: an antijoin against a higher-rated sailor).
+/// Outside them, an RA union and a Datalog IDB used twice compile with
+/// views, materialized once per execution.
 fn bench_hub_route(c: &mut Criterion) {
-    use rd_core::exec::execute;
+    use rd_core::exec::{execute, Plan};
     use rd_core::{Database, Relation};
     use rd_engine::Artifact;
     use rd_translate::differential::FourWay;
@@ -205,6 +213,30 @@ fn bench_hub_route(c: &mut Criterion) {
     let datalog_q20 = Artifact::Datalog(four("q20").datalog).compile(&db).unwrap();
     c.bench_function("exec_datalog_q20_antijoin_r1000", |b| {
         b.iter(|| execute(black_box(&datalog_q20), &db).unwrap())
+    });
+    let compile = |language, text: &str| {
+        Artifact::prepare(language, text, &catalog)
+            .unwrap()
+            .compile(&db)
+            .unwrap()
+    };
+    let ra_union = compile(
+        rd_engine::Language::Ra,
+        "pi[sid](sigma[rating > 8](Sailors)) union pi[sid](sigma[bid = 103](Reserves))",
+    );
+    assert!(matches!(&ra_union, Plan::Union(b) if b.len() == 2));
+    c.bench_function("exec_ra_union_r1000", |b| {
+        b.iter(|| execute(black_box(&ra_union), &db).unwrap())
+    });
+    let shared_idb = compile(
+        rd_engine::Language::Datalog,
+        "I(s) :- Reserves(s, b, _), Boats(b, _, 'red'). \
+         Q(s) :- Sailors(s, _, r, _), I(s), r > 5. \
+         Q(s) :- Sailors(s, _, r, _), not I(s), r < 3.",
+    );
+    assert!(matches!(shared_idb, Plan::Program(_)));
+    c.bench_function("exec_datalog_shared_idb_r1000", |b| {
+        b.iter(|| execute(black_box(&shared_idb), &db).unwrap())
     });
 }
 

@@ -1,23 +1,25 @@
 //! The executor: every compiled plan runs here, whichever of the four
 //! languages it came from.
 //!
-//! Relations are scanned as column vectors ([`ColumnImage`]) — a stored
-//! relation's image is built once per relation version and cached in the
-//! relation itself, a Datalog IDB's once per program. Pipelines run over
-//! batches of row ids ([`Batch`]) seeded in fixed-size chunks of
-//! [`CHUNK_ROWS`] rows; filters and comparisons evaluate over whole
-//! batches with selection vectors; joins probe a [`JoinTable`] — a
-//! direct-indexed dense array when every key column is interned symbols
-//! (or integers) with a small live range, a hash map otherwise.
+//! Relations are scanned as column vectors ([`ColumnImage`]) — a
+//! relation's image is built once per relation version and cached in
+//! the relation itself, a program view's once per execution. Pipelines
+//! run over batches of row ids ([`Batch`]) seeded in fixed-size chunks
+//! of [`CHUNK_ROWS`] rows; every scan binds one tuple slot, so a batch
+//! row is a vector of row ids, one per bound scan. Filters and
+//! comparisons evaluate over whole batches with selection vectors;
+//! joins probe a [`JoinTable`] — a direct-indexed dense array when
+//! every key column is interned symbols (or integers) with a small live
+//! range, a hash map otherwise.
 //!
-//! [`exec`](crate::exec) dispatches each plan shape to one entry point:
-//! [`run_query`] for a query branch, [`run_sentence`] for a Boolean
-//! sentence, [`run_rule`] for each Datalog rule, and [`run_ops`] for an
-//! RA\* operator tree. A sentence is a formula over the unit batch (one
-//! row binding nothing), evaluated by the same [`eval_mask`] that
-//! filters pipeline rows. A query's deferred head-validation conjuncts
-//! become ordinary batch filters: head-column references are rewritten
-//! to the head's defining terms.
+//! [`exec`](crate::exec) dispatches each plan shape to one of two entry
+//! points: [`run_query`] for a query branch (a program runs its views'
+//! branches the same way) and [`run_sentence`] for a Boolean sentence.
+//! A sentence is a formula over the unit batch (one row binding
+//! nothing), evaluated by the same [`eval_mask`] that filters pipeline
+//! rows. A query's deferred head-validation conjuncts become ordinary
+//! batch filters: head-column references are rewritten to the head's
+//! defining terms.
 //!
 //! Quantifiers are *loop-inverted and grouped*: an `Exists` block first
 //! groups the outer rows by the few outer columns its subtree actually
@@ -30,14 +32,14 @@
 use crate::database::{Database, Relation, Tuple};
 use crate::error::CoreResult;
 use crate::exec::{
-    bump_n, eval_cond, record, record_build, Block, Formula, IdbMap, OpNode, Pred, QueryPlan,
-    RulePlan, Scan, SentencePlan, TallyMap, Term,
+    bump_n, record, record_build, Block, Formula, Pred, QueryPlan, Scan, SentencePlan, TallyMap,
+    Term,
 };
 use crate::storage::ColumnImage;
 use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -48,20 +50,6 @@ pub const CHUNK_ROWS: usize = 1024;
 
 /// Hard ceiling on a dense join table's slot count.
 const DENSE_MAX_CAPACITY: u64 = 1 << 20;
-
-// ---------------------------------------------------------------------
-// Columnar relation data
-// ---------------------------------------------------------------------
-
-/// Columnar materializations of the Datalog IDBs one program execution
-/// computes, by predicate (sound because a computed IDB never changes
-/// once its stratum completes). Stored relations need no entry here:
-/// each keeps its own [`ColumnImage`] per version
-/// ([`Relation::column_image`](crate::Relation::column_image)).
-#[derive(Default)]
-pub(crate) struct RelCache {
-    idbs: HashMap<String, Arc<ColumnImage>>,
-}
 
 // ---------------------------------------------------------------------
 // Join tables: dense direct-index or hash
@@ -181,41 +169,12 @@ impl JoinTable {
         JoinTable::Hash(map)
     }
 
-    /// The row ids matching `key` (empty for misses, including keys of
-    /// the wrong kind or outside the dense range — such values cannot
-    /// equal any stored key).
-    fn probe(&self, key: &[Value]) -> &[u32] {
-        match self {
-            JoinTable::Dense {
-                kinds,
-                mins,
-                spans,
-                starts,
-                rows,
-            } => {
-                let mut idx = 0usize;
-                for (c, v) in key.iter().enumerate() {
-                    match v.as_dense_key() {
-                        Some((kind, code)) if kind == kinds[c] => {
-                            let off = code.wrapping_sub(mins[c]);
-                            if off < 0 || off as u64 >= spans[c] {
-                                return &NO_ROWS;
-                            }
-                            idx = idx * spans[c] as usize + off as usize;
-                        }
-                        _ => return &NO_ROWS,
-                    }
-                }
-                &rows[starts[idx] as usize..starts[idx + 1] as usize]
-            }
-            JoinTable::Hash(map) => map.get(key).map(|v| v.as_slice()).unwrap_or(&NO_ROWS),
-        }
-    }
-
-    /// Like [`JoinTable::probe`], reading the key through `at` instead
-    /// of a materialized slice: the dense path never clones a value, and
-    /// the hash path fills `scratch` (reused across calls, so a probe
-    /// allocates only when the key outgrows the buffer).
+    /// The row ids matching the key `at(0..ncols)` (empty for misses,
+    /// including keys of the wrong kind or outside the dense range —
+    /// such values cannot equal any stored key). The dense path never
+    /// clones a value; the hash path fills `scratch` (reused across
+    /// calls, so a probe allocates only when the key outgrows the
+    /// buffer).
     fn probe_with<'v>(
         &self,
         ncols: usize,
@@ -427,41 +386,28 @@ impl Batch {
     }
 }
 
-/// Where each environment slot's value lives in a batch: tuple slots map
-/// to a step, value slots to a `(step, column)` pair. It holds
-/// coordinates instead of values — the values stay in the shared
-/// columns.
+/// Where each tuple slot is bound in a batch: the step that scanned
+/// it. It holds coordinates instead of values — the values stay in the
+/// shared columns.
 struct SlotMap {
     tuple: Vec<usize>,
-    value: Vec<(usize, usize)>,
 }
 
 const UNBOUND: usize = usize::MAX;
 
 impl SlotMap {
-    fn new(tuple_slots: usize, value_slots: usize) -> SlotMap {
+    fn new(tuple_slots: usize) -> SlotMap {
         SlotMap {
             tuple: vec![UNBOUND; tuple_slots],
-            value: vec![(UNBOUND, 0); value_slots],
         }
     }
 
     fn bind_scan(&mut self, scan: &Scan, step: usize) {
-        if let Some(s) = scan.tuple_slot {
-            self.tuple[s] = step;
-        }
-        for &(col, s) in &scan.bind_cols {
-            self.value[s] = (step, col);
-        }
+        self.tuple[scan.tuple_slot] = step;
     }
 
     fn unbind_scan(&mut self, scan: &Scan) {
-        if let Some(s) = scan.tuple_slot {
-            self.tuple[s] = UNBOUND;
-        }
-        for &(_, s) in &scan.bind_cols {
-            self.value[s] = (UNBOUND, 0);
-        }
+        self.tuple[scan.tuple_slot] = UNBOUND;
     }
 }
 
@@ -480,11 +426,6 @@ fn term_ref<'t>(t: &'t Term, sm: &SlotMap) -> TermRef<'t> {
             debug_assert_ne!(step, UNBOUND, "terms attach only after their slot binds");
             TermRef::Col { step, col: *col }
         }
-        Term::Var(s) => {
-            let (step, col) = sm.value[*s];
-            debug_assert_ne!(step, UNBOUND, "lowering only emits Var for bound slots");
-            TermRef::Col { step, col }
-        }
     }
 }
 
@@ -502,49 +443,29 @@ impl TermRef<'_> {
 // Execution context
 // ---------------------------------------------------------------------
 
-/// Per-execution state of a pipeline run: the program's IDB
-/// materializations, lazily-built join tables (one slot per keyed scan
-/// or negation probe), and the optional analyze tally.
-struct BatchCtx<'d, 'c> {
+/// Per-execution state of a pipeline run: lazily-built join tables (one
+/// slot per keyed scan) and the optional analyze tally.
+struct BatchCtx<'d> {
     db: &'d Database,
     symbols: &'d SymbolTable,
-    idbs: &'d IdbMap,
-    cache: &'c mut RelCache,
     tables: Vec<Option<Rc<JoinTable>>>,
     tally: Option<TallyMap>,
 }
 
-impl<'d, 'c> BatchCtx<'d, 'c> {
-    fn new(
-        db: &'d Database,
-        idbs: &'d IdbMap,
-        n_indexes: usize,
-        cache: &'c mut RelCache,
-        tally: Option<TallyMap>,
-    ) -> Self {
+impl<'d> BatchCtx<'d> {
+    fn new(db: &'d Database, n_indexes: usize, tally: Option<TallyMap>) -> Self {
         BatchCtx {
             db,
             symbols: db.symbols(),
-            idbs,
-            cache,
             tables: vec![None; n_indexes],
             tally,
         }
     }
 
-    /// The columnar materialization of `rel` (an IDB shadows a
-    /// same-named stored table): a stored relation's cached image, or
-    /// the IDB's, built on first use in this program.
-    fn rel_data(&mut self, rel: &str) -> CoreResult<Arc<ColumnImage>> {
-        let idbs = self.idbs;
-        let Some(rows) = idbs.get(rel) else {
-            return Ok(self.db.require(rel)?.column_image());
-        };
-        let image = self.cache.idbs.entry(rel.to_string()).or_insert_with(|| {
-            let arity = rows.iter().next().map(Tuple::arity).unwrap_or(0);
-            Arc::new(ColumnImage::of(arity, rows.iter()))
-        });
-        Ok(image.clone())
+    /// The columnar image of `rel` (a program's view shadows a
+    /// same-named stored table), cached in the relation.
+    fn rel_data(&self, rel: &str) -> CoreResult<Arc<ColumnImage>> {
+        Ok(self.db.require(rel)?.column_image())
     }
 
     /// The join table in slot `id` over `rel`'s `cols`, built on first
@@ -710,8 +631,8 @@ fn push_expanded(nb: &mut Batch, base: &Batch, i: usize, r: u32) {
     nb.origins.push(base.origins[i]);
 }
 
-/// Applies scan `si`'s intra-tuple checks and filters to the expanded
-/// batch, tallies the survivors, and recurses into the next scan.
+/// Applies scan `si`'s filters to the expanded batch, tallies the
+/// survivors, and recurses into the next scan.
 fn descend(
     scans: &[Scan],
     si: usize,
@@ -721,24 +642,12 @@ fn descend(
     sink: &mut Sink<'_>,
 ) -> CoreResult<()> {
     let scan = &scans[si];
-    let step = nb.steps.len() - 1;
-    if scan.check_cols.is_empty() && scan.filters.is_empty() {
+    if scan.filters.is_empty() {
         // Nothing to verify: every expanded row survives.
         bump_n(&mut ctx.tally, scan, nb.len());
         return run_scans(scans, si + 1, nb, sm, ctx, sink);
     }
-    let mut mask = vec![true; nb.len()];
-    // Repeated variables inside one atom: column equals earlier-bound
-    // column of the same step.
-    for &(col, s) in &scan.check_cols {
-        let (vstep, vcol) = sm.value[s];
-        for (i, m) in mask.iter_mut().enumerate() {
-            if *m && nb.value(step, col, i) != nb.value(vstep, vcol, i) {
-                *m = false;
-            }
-        }
-    }
-    let mut sel: Vec<usize> = (0..nb.len()).filter(|&i| mask[i]).collect();
+    let mut sel: Vec<usize> = (0..nb.len()).collect();
     for f in &scan.filters {
         if sel.is_empty() {
             break;
@@ -833,34 +742,6 @@ fn eval_mask(
                 })
                 .collect())
         }
-        Formula::NegProbe {
-            rel,
-            cols,
-            terms,
-            index_id,
-        } => {
-            if cols.is_empty() {
-                // `not P(_ …)`: one emptiness check answers every row.
-                let empty = match ctx.idbs.get(rel) {
-                    Some(rows) => rows.is_empty(),
-                    None => ctx.db.require(rel)?.is_empty(),
-                };
-                return Ok(vec![empty; sel.len()]);
-            }
-            let data = ctx.rel_data(rel)?;
-            let table = ctx.table_for(&data, cols, *index_id);
-            record_build(&mut ctx.tally, f, table.kind());
-            let key_refs: Vec<TermRef> = terms.iter().map(|t| term_ref(t, sm)).collect();
-            let mut key: Vec<Value> = Vec::with_capacity(key_refs.len());
-            Ok(sel
-                .iter()
-                .map(|&i| {
-                    table
-                        .probe_with(key_refs.len(), |c| key_refs[c].value(batch, i), &mut key)
-                        .is_empty()
-                })
-                .collect())
-        }
         Formula::Exists(block) => {
             let mut satisfied = vec![false; sel.len()];
             // Pre-scan conjuncts of the block constrain the outer rows.
@@ -890,8 +771,7 @@ fn eval_mask(
                 // batch clone, no match materialization, no grouping).
                 let cheap = block.scans.len() == 1
                     && block.scans[0].is_keyed()
-                    && block.scans[0].filters.is_empty()
-                    && block.scans[0].check_cols.is_empty();
+                    && block.scans[0].filters.is_empty();
                 if cheap {
                     let scan = &block.scans[0];
                     let rel = ctx.rel_data(&scan.rel)?;
@@ -962,12 +842,6 @@ fn term_deps(t: &Term, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
                 out.push((step, *col));
             }
         }
-        Term::Var(v) => {
-            let (step, col) = sm.value[*v];
-            if step != UNBOUND {
-                out.push((step, col));
-            }
-        }
         Term::Const(_) => {}
     }
 }
@@ -985,17 +859,12 @@ fn formula_deps(f: &Formula, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
             term_deps(&p.left, sm, out);
             term_deps(&p.right, sm, out);
         }
-        Formula::NegProbe { terms, .. } => {
-            for t in terms {
-                term_deps(t, sm, out);
-            }
-        }
         Formula::Exists(block) => block_deps(block, sm, out),
     }
 }
 
 /// Collects every outer-bound batch coordinate the block's subtree can
-/// read: pre conjuncts, scan keys, intra-scan checks, and filters.
+/// read: pre conjuncts, scan keys, and filters.
 fn block_deps(block: &Block, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
     for pre in &block.pre {
         formula_deps(pre, sm, out);
@@ -1003,12 +872,6 @@ fn block_deps(block: &Block, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
     for scan in &block.scans {
         for t in &scan.key_terms {
             term_deps(t, sm, out);
-        }
-        for &(_, s) in &scan.check_cols {
-            let (step, col) = sm.value[s];
-            if step != UNBOUND {
-                out.push((step, col));
-            }
         }
         for f in &scan.filters {
             formula_deps(f, sm, out);
@@ -1025,11 +888,10 @@ fn block_deps(block: &Block, sm: &SlotMap, out: &mut Vec<(usize, usize)>) {
 fn run_pipeline(
     block: &Block,
     tuple_slots: usize,
-    value_slots: usize,
     ctx: &mut BatchCtx,
     emit: &mut dyn FnMut(&Batch, &mut SlotMap, &mut BatchCtx) -> CoreResult<()>,
 ) -> CoreResult<()> {
-    let mut sm = SlotMap::new(tuple_slots, value_slots);
+    let mut sm = SlotMap::new(tuple_slots);
     let seed = Batch::unit();
     for pre in &block.pre {
         let mask = eval_mask(pre, &seed, &[0], &mut sm, ctx)?;
@@ -1063,17 +925,6 @@ fn subst_formula(f: &Formula, head_slot: usize, defs: &[Term]) -> Formula {
             op: p.op,
             right: term(&p.right),
         }),
-        Formula::NegProbe {
-            rel,
-            cols,
-            terms,
-            index_id,
-        } => Formula::NegProbe {
-            rel: rel.clone(),
-            cols: cols.clone(),
-            terms: terms.iter().map(term).collect(),
-            index_id: *index_id,
-        },
         Formula::Exists(b) => Formula::Exists(Block {
             pre: b.pre.iter().map(sub).collect(),
             scans: b
@@ -1108,9 +959,7 @@ pub(crate) fn run_query(
     db: &Database,
     tally: &mut Option<TallyMap>,
 ) -> CoreResult<Relation> {
-    let idbs = IdbMap::new();
-    let mut cache = RelCache::default();
-    let mut ctx = BatchCtx::new(db, &idbs, q.shape.indexes, &mut cache, tally.take());
+    let mut ctx = BatchCtx::new(db, q.shape.indexes, tally.take());
     let mut rows: Vec<Tuple> = Vec::new();
     // Deferred head validation, vectorized: instead of binding each
     // candidate tuple to the head slot, rewrite head-column references
@@ -1130,7 +979,6 @@ pub(crate) fn run_query(
     let result = run_pipeline(
         &q.root,
         q.shape.tuple_slots,
-        q.shape.value_slots,
         &mut ctx,
         &mut |batch, sm, ctx| {
             let defs: Vec<TermRef> = q.defs.iter().map(|t| term_ref(t, sm)).collect();
@@ -1185,220 +1033,24 @@ pub(crate) fn run_sentence(
     db: &Database,
     tally: &mut Option<TallyMap>,
 ) -> CoreResult<bool> {
-    let idbs = IdbMap::new();
-    let mut cache = RelCache::default();
-    let mut ctx = BatchCtx::new(db, &idbs, s.shape.indexes, &mut cache, tally.take());
-    let mut sm = SlotMap::new(s.shape.tuple_slots, s.shape.value_slots);
+    let mut ctx = BatchCtx::new(db, s.shape.indexes, tally.take());
+    let mut sm = SlotMap::new(s.shape.tuple_slots);
     let result = eval_mask(&s.formula, &Batch::unit(), &[0], &mut sm, &mut ctx);
     *tally = ctx.tally.take();
     Ok(result?[0])
-}
-
-/// Executes one Datalog rule body, returning head projections
-/// (duplicates included — the stratum dedups).
-pub(crate) fn run_rule(
-    rule: &RulePlan,
-    db: &Database,
-    idbs: &IdbMap,
-    tally: &mut Option<TallyMap>,
-    cache: &mut RelCache,
-) -> CoreResult<Vec<Tuple>> {
-    let mut ctx = BatchCtx::new(db, idbs, rule.shape.indexes, cache, tally.take());
-    let mut out: Vec<Tuple> = Vec::new();
-    let result = run_pipeline(
-        &rule.block,
-        rule.shape.tuple_slots,
-        rule.shape.value_slots,
-        &mut ctx,
-        &mut |batch, sm, _ctx| {
-            let head: Vec<TermRef> = rule.head.iter().map(|t| term_ref(t, sm)).collect();
-            for i in 0..batch.len() {
-                out.push(Tuple(
-                    head.iter().map(|d| d.value(batch, i).clone()).collect(),
-                ));
-            }
-            Ok(())
-        },
-    );
-    *tally = ctx.tally.take();
-    result?;
-    record(tally, rule, out.len());
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Entry points: bulk operators
-// ---------------------------------------------------------------------
-
-/// Evaluates an RA\* operator tree bottom-up
-/// ([`exec::run_ops`](crate::exec::run_ops)) over row vectors,
-/// deduplicating only where duplicates can appear (projection, union) —
-/// so every node's cardinality is its set-semantics size.
-pub(crate) fn run_ops(
-    op: &OpNode,
-    db: &Database,
-    tally: &mut Option<TallyMap>,
-) -> CoreResult<BTreeSet<Tuple>> {
-    let rows = eval_ops(op, db, tally)?;
-    Ok(rows.into_iter().collect())
-}
-
-/// Hash-keyable equality column pairs plus the residual (non-equality)
-/// checks of a theta-join.
-type SplitChecks = (Vec<(usize, usize)>, Vec<(usize, CmpOp, usize)>);
-
-/// Splits theta-join checks into the hash-keyable equalities and the
-/// residual.
-fn split_checks(checks: &[(usize, CmpOp, usize)]) -> SplitChecks {
-    let eq = checks
-        .iter()
-        .filter(|(_, op, _)| *op == CmpOp::Eq)
-        .map(|&(l, _, r)| (l, r))
-        .collect();
-    let residual = checks
-        .iter()
-        .filter(|(_, op, _)| *op != CmpOp::Eq)
-        .copied()
-        .collect();
-    (eq, residual)
-}
-
-/// Probes `right` per left row through a [`JoinTable`] over the equality
-/// key columns (dense-indexed when eligible), verifying residual checks
-/// per candidate pair; falls back to a nested loop when no equality key
-/// exists. `pair` receives every qualifying `(left_row, right_row)`.
-fn join_pairs(
-    node: &OpNode,
-    left: &[Tuple],
-    right: &[Tuple],
-    checks: &[(usize, CmpOp, usize)],
-    symbols: &SymbolTable,
-    tally: &mut Option<TallyMap>,
-    mut pair: impl FnMut(usize, usize),
-) {
-    let (eq, residual) = split_checks(checks);
-    if eq.is_empty() {
-        for (li, lt) in left.iter().enumerate() {
-            for (ri, rt) in right.iter().enumerate() {
-                if checks
-                    .iter()
-                    .all(|(lc, op, rc)| op.eval_resolved(lt.get(*lc), rt.get(*rc), symbols))
-                {
-                    pair(li, ri);
-                }
-            }
-        }
-        return;
-    }
-    let table = JoinTable::build(right.len(), eq.len(), |r, c| right[r].get(eq[c].1));
-    record_build(tally, node, table.kind());
-    let mut key: Vec<Value> = Vec::with_capacity(eq.len());
-    for (li, lt) in left.iter().enumerate() {
-        key.clear();
-        key.extend(eq.iter().map(|&(lc, _)| lt.get(lc).clone()));
-        for &ri in table.probe(&key) {
-            let rt = &right[ri as usize];
-            if residual
-                .iter()
-                .all(|(lc, op, rc)| op.eval_resolved(lt.get(*lc), rt.get(*rc), symbols))
-            {
-                pair(li, ri as usize);
-            }
-        }
-    }
-}
-
-fn eval_ops(op: &OpNode, db: &Database, tally: &mut Option<TallyMap>) -> CoreResult<Vec<Tuple>> {
-    let symbols = db.symbols();
-    let rows = match op {
-        OpNode::Table(name) => db.require(name)?.iter().cloned().collect(),
-        OpNode::Project { cols, input } => {
-            let inner = eval_ops(input, db, tally)?;
-            let set: BTreeSet<Tuple> = inner.iter().map(|t| t.project(cols)).collect();
-            set.into_iter().collect()
-        }
-        OpNode::Select { cond, input } => {
-            let mut inner = eval_ops(input, db, tally)?;
-            inner.retain(|t| eval_cond(cond, t, symbols));
-            inner
-        }
-        OpNode::Product(l, r) => {
-            let lv = eval_ops(l, db, tally)?;
-            let rv = eval_ops(r, db, tally)?;
-            let mut rows = Vec::with_capacity(lv.len().saturating_mul(rv.len()));
-            for lt in &lv {
-                for rt in &rv {
-                    rows.push(lt.concat(rt));
-                }
-            }
-            rows
-        }
-        OpNode::Join {
-            checks,
-            left,
-            right,
-        } => {
-            let lv = eval_ops(left, db, tally)?;
-            let rv = eval_ops(right, db, tally)?;
-            let mut rows = Vec::new();
-            join_pairs(op, &lv, &rv, checks, symbols, tally, |li, ri| {
-                rows.push(lv[li].concat(&rv[ri]));
-            });
-            rows
-        }
-        OpNode::NaturalJoin {
-            checks,
-            keep_right,
-            left,
-            right,
-        } => {
-            let lv = eval_ops(left, db, tally)?;
-            let rv = eval_ops(right, db, tally)?;
-            let mut rows = Vec::new();
-            join_pairs(op, &lv, &rv, checks, symbols, tally, |li, ri| {
-                let mut row = lv[li].0.clone();
-                row.extend(keep_right.iter().map(|&c| rv[ri].get(c).clone()));
-                rows.push(Tuple(row));
-            });
-            rows
-        }
-        OpNode::Diff(l, r) => {
-            let lv = eval_ops(l, db, tally)?;
-            let rv = eval_ops(r, db, tally)?;
-            let right: HashSet<&Tuple> = rv.iter().collect();
-            lv.into_iter().filter(|t| !right.contains(t)).collect()
-        }
-        OpNode::Union(l, r) => {
-            let lv = eval_ops(l, db, tally)?;
-            let rv = eval_ops(r, db, tally)?;
-            let set: BTreeSet<Tuple> = lv.into_iter().chain(rv).collect();
-            set.into_iter().collect()
-        }
-        OpNode::Antijoin {
-            checks,
-            left,
-            right,
-        } => {
-            let lv = eval_ops(left, db, tally)?;
-            let rv = eval_ops(right, db, tally)?;
-            let mut matched = vec![false; lv.len()];
-            join_pairs(op, &lv, &rv, checks, symbols, tally, |li, _| {
-                matched[li] = true;
-            });
-            lv.into_iter()
-                .zip(&matched)
-                .filter_map(|(t, &m)| (!m).then_some(t))
-                .collect()
-        }
-    };
-    record(tally, op, rows.len());
-    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::TableSchema;
+
+    /// The number of rows `table` holds for `key`.
+    fn hits(table: &JoinTable, key: &[Value]) -> usize {
+        table
+            .probe_with(key.len(), |c| &key[c], &mut Vec::new())
+            .len()
+    }
 
     fn rel_data_of(rows: &[[i64; 2]]) -> ColumnImage {
         let tuples: Vec<Tuple> = rows.iter().map(|r| Tuple::new(r.to_vec())).collect();
@@ -1410,10 +1062,10 @@ mod tests {
         let data = rel_data_of(&[[1, 10], [2, 10], [1, 20], [3, 30]]);
         let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "dense-key");
-        assert_eq!(table.probe(&[Value::int(1)]).len(), 2);
-        assert_eq!(table.probe(&[Value::int(3)]).len(), 1);
-        assert!(table.probe(&[Value::int(99)]).is_empty());
-        assert!(table.probe(&[Value::str("x")]).is_empty());
+        assert_eq!(hits(&table, &[Value::int(1)]), 2);
+        assert_eq!(hits(&table, &[Value::int(3)]), 1);
+        assert_eq!(hits(&table, &[Value::int(99)]), 0);
+        assert_eq!(hits(&table, &[Value::str("x")]), 0);
     }
 
     #[test]
@@ -1421,8 +1073,8 @@ mod tests {
         let data = rel_data_of(&[[1, 10], [2, 10], [1, 20]]);
         let table = JoinTable::build(data.len(), 2, |r, c| data.value(c, r as u32));
         assert_eq!(table.kind(), "dense-key");
-        assert_eq!(table.probe(&[Value::int(1), Value::int(10)]).len(), 1);
-        assert_eq!(table.probe(&[Value::int(2), Value::int(20)]).len(), 0);
+        assert_eq!(hits(&table, &[Value::int(1), Value::int(10)]), 1);
+        assert_eq!(hits(&table, &[Value::int(2), Value::int(20)]), 0);
     }
 
     #[test]
@@ -1430,9 +1082,9 @@ mod tests {
         let data = rel_data_of(&[[1, 0], [1_000_000_000, 0]]);
         let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
-        assert_eq!(table.probe(&[Value::int(1)]).len(), 1);
-        assert_eq!(table.probe(&[Value::int(1_000_000_000)]).len(), 1);
-        assert!(table.probe(&[Value::int(2)]).is_empty());
+        assert_eq!(hits(&table, &[Value::int(1)]), 1);
+        assert_eq!(hits(&table, &[Value::int(1_000_000_000)]), 1);
+        assert_eq!(hits(&table, &[Value::int(2)]), 0);
     }
 
     #[test]
@@ -1445,7 +1097,7 @@ mod tests {
         let data = ColumnImage::of(1, tuples.iter());
         let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
-        assert_eq!(table.probe(&[Value::Sym(0)]).len(), 1);
+        assert_eq!(hits(&table, &[Value::Sym(0)]), 1);
     }
 
     #[test]
@@ -1459,9 +1111,9 @@ mod tests {
         let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "dense-key");
         let red = db.lookup_value(&Value::str("red"));
-        assert_eq!(table.probe(&[red]).len(), 1);
+        assert_eq!(hits(&table, &[red]), 1);
         // An un-interned probe string can't match any stored symbol.
-        assert!(table.probe(&[Value::str("red")]).is_empty());
+        assert_eq!(hits(&table, &[Value::str("red")]), 0);
     }
 
     #[test]
@@ -1469,6 +1121,6 @@ mod tests {
         let data = ColumnImage::of(2, std::iter::empty());
         let table = JoinTable::build(data.len(), 1, |r, _| data.value(0, r as u32));
         assert_eq!(table.kind(), "hash");
-        assert!(table.probe(&[Value::int(1)]).is_empty());
+        assert_eq!(hits(&table, &[Value::int(1)]), 0);
     }
 }

@@ -662,6 +662,17 @@ impl Database {
             .insert(relation.name().to_string(), Arc::new(relation));
     }
 
+    /// Adds a computed view — a result relation of this database — under
+    /// its schema name, shadowing any same-named table. Unlike
+    /// [`Database::add_relation`] it stores the relation as it stands:
+    /// its ids already belong to this database's symbol table, and a raw
+    /// string it carries is a query literal the table does not know,
+    /// which must not grow it.
+    pub(crate) fn put_view(&mut self, view: Relation) {
+        self.relations
+            .insert(view.name().to_string(), Arc::new(view));
+    }
+
     /// Creates an empty table; errors if the name is already taken (a
     /// durable mutation must not silently drop existing data).
     pub fn create_table(&mut self, schema: TableSchema) -> CoreResult<()> {

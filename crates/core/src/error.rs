@@ -35,6 +35,13 @@ pub enum CoreError {
         /// The repeated attribute name.
         attribute: String,
     },
+    /// A query nests deeper than [`MAX_NESTING`](crate::MAX_NESTING)
+    /// levels (parser recursion, operator depth, or a Datalog IDB
+    /// dependency chain).
+    NestingTooDeep {
+        /// The limit that was exceeded.
+        limit: usize,
+    },
     /// Generic invariant violation with a human-readable message.
     Invalid(String),
 }
@@ -57,6 +64,9 @@ impl fmt::Display for CoreError {
             CoreError::DuplicateTable(t) => write!(f, "table '{t}' defined twice"),
             CoreError::DuplicateAttribute { table, attribute } => {
                 write!(f, "attribute '{attribute}' duplicated in table '{table}'")
+            }
+            CoreError::NestingTooDeep { limit } => {
+                write!(f, "query nests deeper than the limit of {limit} levels")
             }
             CoreError::Invalid(msg) => write!(f, "{msg}"),
         }
@@ -82,6 +92,10 @@ mod tests {
         assert_eq!(
             CoreError::UnknownTable("S".into()).to_string(),
             "unknown table 'S'"
+        );
+        assert_eq!(
+            CoreError::NestingTooDeep { limit: 128 }.to_string(),
+            "query nests deeper than the limit of 128 levels"
         );
     }
 }

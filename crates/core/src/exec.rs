@@ -2,33 +2,24 @@
 //!
 //! The paper's Theorem 6 shows TRC\*, RA\*, Datalog\*, and SQL\* express
 //! the same query patterns; this module is that claim turned into
-//! runtime architecture. Every language front-end *lowers* its checked
-//! AST into one [`Plan`] — scans with interned bound-key probes,
+//! runtime architecture. Every language front-end compiles through the
+//! TRC hub into one [`Plan`] — scans with interned bound-key probes,
 //! selectivity-ordered hash joins, negation/quantifier attachment,
 //! projection with set-semantics dedup, and union — and one executor
-//! (the chunked, columnar `batch` module) runs it. The per-language
-//! `eval` modules shrink to lowerings; the engine caches compiled
-//! [`Plan`]s (they are `Send + Sync` and carry no borrows), so a hot
-//! serving path compiles a query shape once per database epoch and
-//! executes it many times.
+//! (the chunked, columnar `batch` module) runs it. The engine caches
+//! compiled [`Plan`]s (they are `Send + Sync` and carry no borrows), so
+//! a hot serving path compiles a query shape once per database epoch
+//! and executes it many times.
 //!
-//! The IR has two execution styles, both handled here:
-//!
-//! * **Pipelines** ([`Block`]): an ordered list of [`Scan`] steps, each
-//!   binding either a whole tuple slot (TRC-style) or individual value
-//!   slots (Datalog-style), probing a lazily-built join table when key
-//!   columns are bound, with filters (predicates, negated subplans,
-//!   quantified blocks, negated-atom probes) attached to the earliest
-//!   step after which their inputs are bound. TRC and SQL queries, RA\*⊲
-//!   expressions and Datalog\* programs (the last two through the TRC
-//!   hub) lower to one pipeline per union branch. For a Datalog program
-//!   outside Datalog\*, each rule lowers to one pipeline, and a
-//!   [`ProgramPlan`] sequences them by stratum.
-//! * **Bulk operators** ([`OpNode`]): the RA operator tree for
-//!   expressions outside RA\*⊲ (projection, selection, product,
-//!   theta/natural join, difference, union, antijoin) with conditions
-//!   compiled to column indices and interned constants, equi-join keys
-//!   hashed, residual conditions checked per bucket.
+//! There is one execution style, the **pipeline** ([`Block`]): an
+//! ordered list of [`Scan`] steps, each binding a whole tuple slot,
+//! probing a lazily-built join table when key columns are bound, with
+//! filters (predicates, negated and quantified blocks) attached to the
+//! earliest step after which their inputs are bound. A query lowers to
+//! one pipeline per union branch. A Datalog program whose IDBs are
+//! shared (several rules, or several uses) becomes a [`ProgramPlan`]:
+//! each shared IDB is a *view*, a union of such branches materialized
+//! once per execution and then scanned like any table.
 //!
 //! [`explain`] renders any plan as a tree of scan order, join strategy,
 //! and bound keys — the diagnosability hook the service's `explain` op
@@ -38,10 +29,9 @@ pub use crate::batch::CHUNK_ROWS;
 use crate::database::{Database, Relation, Tuple};
 use crate::error::{CoreError, CoreResult};
 use crate::schema::TableSchema;
-use crate::symbol::SymbolTable;
 use crate::value::Value;
 use crate::CmpOp;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
 // IR: terms, formulas, scans, blocks
@@ -52,15 +42,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 pub enum Term {
     /// An interned constant.
     Const(Value),
-    /// A column of a bound tuple slot (TRC-style environments).
+    /// A column of a bound tuple slot.
     Col {
         /// The tuple slot.
         slot: usize,
         /// The column within the bound tuple.
         col: usize,
     },
-    /// A bound value slot (Datalog-style environments).
-    Var(usize),
 }
 
 /// A compiled comparison between two terms.
@@ -89,19 +77,6 @@ pub enum Formula {
     Exists(Block),
     /// A comparison.
     Pred(Pred),
-    /// A negated-atom probe (Datalog `not P(…)`): succeeds iff no tuple
-    /// of `rel` matches the key columns. With no key columns, succeeds
-    /// iff `rel` is empty.
-    NegProbe {
-        /// Relation probed (EDB table or computed IDB).
-        rel: String,
-        /// Constrained columns.
-        cols: Vec<usize>,
-        /// The values the columns must equal (parallel to `cols`).
-        terms: Vec<Term>,
-        /// Join-table slot for the probe.
-        index_id: usize,
-    },
 }
 
 /// Index id marking a full (unkeyed) scan.
@@ -110,22 +85,16 @@ pub const FULL_SCAN: usize = usize::MAX;
 /// One scheduled scan of a pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scan {
-    /// Relation scanned (EDB table or computed IDB).
+    /// Relation scanned (a stored table, or a view of a program).
     pub rel: String,
-    /// Tuple slot bound to each scanned tuple (TRC-style), if any.
-    pub tuple_slot: Option<usize>,
+    /// Tuple slot bound to each scanned tuple.
+    pub tuple_slot: usize,
     /// Columns constrained by equality to bound terms; empty for a full
     /// scan.
     pub key_cols: Vec<usize>,
     /// The bound terms the key columns must equal (parallel to
     /// `key_cols`).
     pub key_terms: Vec<Term>,
-    /// Value slots bound from scanned columns (Datalog-style):
-    /// `(column, slot)` pairs.
-    pub bind_cols: Vec<(usize, usize)>,
-    /// Intra-tuple equality checks — `(column, slot)` where the slot
-    /// was bound earlier in this same scan (repeated variables).
-    pub check_cols: Vec<(usize, usize)>,
     /// Join-table slot ([`FULL_SCAN`] for unkeyed scans).
     pub index_id: usize,
     /// Conjuncts whose inputs are all bound once this scan binds.
@@ -153,10 +122,8 @@ pub struct Block {
 /// slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnvShape {
-    /// Tuple slots (TRC-style whole-tuple bindings).
+    /// Tuple slots (whole-tuple bindings).
     pub tuple_slots: usize,
-    /// Value slots (Datalog-style per-column bindings).
-    pub value_slots: usize,
     /// Join-table slots handed out during lowering.
     pub indexes: usize,
 }
@@ -199,118 +166,31 @@ pub struct SentencePlan {
     pub shape: EnvShape,
 }
 
-/// One compiled Datalog rule: a pipeline plus the head projection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RulePlan {
-    /// Head terms (projection).
-    pub head: Vec<Term>,
-    /// The rule body pipeline.
-    pub block: Block,
-    /// Environment requirements.
-    pub shape: EnvShape,
-}
-
-/// One stratum of a compiled Datalog program: every rule of one IDB.
+/// One view of a compiled Datalog program: the union of one TRC
+/// branch per rule of a shared IDB (or of the query predicate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stratum {
-    /// The IDB predicate this stratum computes.
+    /// The IDB predicate this stratum computes; later strata scan it
+    /// under this name.
     pub pred: String,
-    /// Its rules (results union under set semantics).
-    pub rules: Vec<RulePlan>,
-    /// The planner's estimate of this IDB's size — EDB-derived bounds
-    /// on first compile, refined from observed actuals on re-plans.
+    /// One branch per rule (results union under set semantics), each
+    /// with output schema `pred(x1, …, xn)`, or the program's answer
+    /// schema for the query stratum.
+    pub branches: Vec<QueryPlan>,
+    /// The planner's estimate of this IDB's size — the sum of its
+    /// branch estimates on first compile, an observed actual on
+    /// re-plans.
     pub est_rows: Option<u64>,
 }
 
-/// A compiled non-recursive Datalog¬ program: strata in topological
-/// order plus the query predicate.
+/// A compiled non-recursive Datalog¬ program with shared IDBs: views in
+/// dependency order, the query predicate's stratum last. Each finished
+/// view is scanned by later strata like a stored table (shadowing a
+/// same-named one).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramPlan {
-    /// Strata in evaluation order.
+    /// Strata in evaluation order; the last computes the answer.
     pub strata: Vec<Stratum>,
-    /// The query predicate.
-    pub query: String,
-    /// Output schema (positional attributes `x1`, `x2`, …).
-    pub out: TableSchema,
-}
-
-/// A compiled RA\* operator (bulk execution over tuple sets). Attribute
-/// names are resolved to column indices at lowering time; `Rename` is
-/// compiled away entirely.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpNode {
-    /// A base-table scan.
-    Table(String),
-    /// Projection onto the given columns (dedups under set semantics).
-    Project {
-        /// Kept columns, in output order.
-        cols: Vec<usize>,
-        /// Input operator.
-        input: Box<OpNode>,
-    },
-    /// Selection by a compiled condition.
-    Select {
-        /// The compiled condition.
-        cond: Cond,
-        /// Input operator.
-        input: Box<OpNode>,
-    },
-    /// Cartesian product.
-    Product(Box<OpNode>, Box<OpNode>),
-    /// Theta join: equality checks key a hash probe, the residual is
-    /// verified per matching pair.
-    Join {
-        /// `(left column, op, right column)` checks.
-        checks: Vec<(usize, CmpOp, usize)>,
-        /// Left operand.
-        left: Box<OpNode>,
-        /// Right operand.
-        right: Box<OpNode>,
-    },
-    /// Natural join on shared attribute names (resolved at lowering).
-    NaturalJoin {
-        /// Equality checks over the shared columns.
-        checks: Vec<(usize, CmpOp, usize)>,
-        /// Right columns not shared with the left (kept in output).
-        keep_right: Vec<usize>,
-        /// Left operand.
-        left: Box<OpNode>,
-        /// Right operand.
-        right: Box<OpNode>,
-    },
-    /// Set difference.
-    Diff(Box<OpNode>, Box<OpNode>),
-    /// Set union.
-    Union(Box<OpNode>, Box<OpNode>),
-    /// Antijoin: left tuples with no qualifying right partner.
-    Antijoin {
-        /// `(left column, op, right column)` checks.
-        checks: Vec<(usize, CmpOp, usize)>,
-        /// Left operand.
-        left: Box<OpNode>,
-        /// Right operand.
-        right: Box<OpNode>,
-    },
-}
-
-/// A selection condition compiled against a fixed column layout.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cond {
-    /// A comparison.
-    Cmp(CTerm, CmpOp, CTerm),
-    /// Conjunction.
-    And(Vec<Cond>),
-    /// Disjunction.
-    Or(Vec<Cond>),
-}
-
-/// A term of a compiled selection condition.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CTerm {
-    /// An interned constant.
-    Const(Value),
-    /// A column of the input tuple.
-    Col(usize),
 }
 
 /// A compiled, executable query plan — the unit the engine's plan cache
@@ -319,25 +199,14 @@ pub enum CTerm {
 /// database epoch it was compiled against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
-    /// A union of non-Boolean query branches (TRC\*/SQL\*; one branch
-    /// for a plain query).
+    /// A union of non-Boolean query branches (one branch for a plain
+    /// query).
     Union(Vec<QueryPlan>),
     /// A Boolean sentence (evaluates to the 0-ary relation encoding).
     Sentence(SentencePlan),
-    /// A Datalog¬ program outside Datalog\* (an IDB with several rules
-    /// or several uses). Datalog\* programs compile through the TRC hub
-    /// into [`Plan::Union`] instead.
+    /// A program with views: RA and Datalog inputs whose intermediate
+    /// results are shared (an IDB with several rules or several uses).
     Program(ProgramPlan),
-    /// An RA operator tree for an expression outside RA\*⊲ (union, a
-    /// disjunctive selection, a non-equality antijoin). RA\*⊲
-    /// expressions compile through the TRC hub into [`Plan::Union`]
-    /// instead.
-    Ops {
-        /// The root operator.
-        root: OpNode,
-        /// Output schema.
-        out: TableSchema,
-    },
 }
 
 fn _assert_plan_is_send_sync() {
@@ -354,33 +223,30 @@ fn _assert_plan_is_send_sync() {
 /// delta-aware caches stamp onto their entries — a mutation to a
 /// relation outside a plan's scan set provably cannot change its result.
 ///
-/// All stored reads go through [`Scan::rel`], [`Formula::NegProbe`], and
-/// [`OpNode::Table`]; for Datalog programs, IDB predicates are computed
-/// per execution (and shadow same-named tables), so stratum names are
-/// excluded.
+/// All reads go through [`Scan::rel`]; the views of a program are
+/// computed per execution (and shadow same-named tables), so stratum
+/// names are excluded.
 pub fn scan_set(plan: &Plan) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
-    match plan {
-        Plan::Union(branches) => {
-            for q in branches {
-                scans_in_block(&q.root, &mut set);
-                for f in &q.deferred {
-                    scans_in_formula(f, &mut set);
-                }
+    let mut add_branches = |branches: &[QueryPlan]| {
+        for q in branches {
+            scans_in_block(&q.root, &mut set);
+            for f in &q.deferred {
+                scans_in_formula(f, &mut set);
             }
         }
+    };
+    match plan {
+        Plan::Union(branches) => add_branches(branches),
         Plan::Sentence(s) => scans_in_formula(&s.formula, &mut set),
         Plan::Program(p) => {
             for stratum in &p.strata {
-                for rule in &stratum.rules {
-                    scans_in_block(&rule.block, &mut set);
-                }
+                add_branches(&stratum.branches);
             }
             for stratum in &p.strata {
                 set.remove(&stratum.pred);
             }
         }
-        Plan::Ops { root, .. } => scans_in_ops(root, &mut set),
     }
     set
 }
@@ -407,37 +273,12 @@ fn scans_in_formula(f: &Formula, set: &mut BTreeSet<String>) {
         Formula::Not(sub) => scans_in_formula(sub, set),
         Formula::Exists(block) => scans_in_block(block, set),
         Formula::Pred(_) => {}
-        Formula::NegProbe { rel, .. } => {
-            set.insert(rel.clone());
-        }
-    }
-}
-
-fn scans_in_ops(op: &OpNode, set: &mut BTreeSet<String>) {
-    match op {
-        OpNode::Table(name) => {
-            set.insert(name.clone());
-        }
-        OpNode::Project { input, .. } | OpNode::Select { input, .. } => scans_in_ops(input, set),
-        OpNode::Product(l, r) | OpNode::Diff(l, r) | OpNode::Union(l, r) => {
-            scans_in_ops(l, set);
-            scans_in_ops(r, set);
-        }
-        OpNode::Join { left, right, .. }
-        | OpNode::NaturalJoin { left, right, .. }
-        | OpNode::Antijoin { left, right, .. } => {
-            scans_in_ops(left, set);
-            scans_in_ops(right, set);
-        }
     }
 }
 
 // ---------------------------------------------------------------------
 // Execution: analyze tallies
 // ---------------------------------------------------------------------
-
-/// Computed IDB relations (empty for languages without them).
-pub(crate) type IdbMap = BTreeMap<String, BTreeSet<Tuple>>;
 
 /// What an analyzing execution observed at one plan node: the rows it
 /// produced and — for keyed probes and join builds — which build
@@ -452,8 +293,8 @@ pub(crate) struct NodeTally {
 
 /// Per-node observations collected by an analyzing execution.
 ///
-/// Keys are node *addresses* (`&Scan`, `&OpNode`, `&QueryPlan`,
-/// `&RulePlan`, `&Stratum`, `&Formula` cast to `usize`): every keyed
+/// Keys are node *addresses* (`&Scan`, `&QueryPlan`, `&Stratum` cast
+/// to `usize`): every keyed
 /// node is alive inside the same [`Plan`] for the whole execution *and*
 /// the subsequent annotation pass, so addresses are unique — which lets
 /// the executor count rows without adding id fields to the IR (and
@@ -497,70 +338,60 @@ pub fn run_sentence(s: &SentencePlan, db: &Database) -> CoreResult<bool> {
     crate::batch::run_sentence(s, db, &mut None)
 }
 
-/// Executes a compiled Datalog program: strata in order, rules of one
-/// IDB unioned under set semantics.
+/// Executes a compiled program: each view is materialized once, in
+/// stratum order, into a copy of `db` (relations are `Arc`-shared, so
+/// the copy costs one pointer per table), where later strata scan it
+/// like any table; the last stratum's union is the answer.
 pub fn run_program(p: &ProgramPlan, db: &Database) -> CoreResult<Relation> {
     run_program_collect(p, db, &mut None, None)
 }
 
 /// [`run_program`] with an optional analyze tally, additionally
-/// reporting each computed IDB's actual size into `sizes` — the raw
-/// material of planner feedback (re-plans replace the EDB-derived
-/// stratum bounds with these).
+/// reporting each stratum's actual size into `sizes` — the raw material
+/// of planner feedback (re-plans replace the derived stratum estimates
+/// with these).
 fn run_program_collect(
     p: &ProgramPlan,
     db: &Database,
     tally: &mut Option<TallyMap>,
     mut sizes: Option<&mut Vec<(String, u64)>>,
 ) -> CoreResult<Relation> {
-    let mut computed = IdbMap::new();
-    // Columnar IDB materializations shared across the program's rules
-    // (sound because a computed IDB never changes once its stratum
-    // completes, and no rule reads its own stratum); stored relations
-    // bring their own cached column images.
-    let mut cache = crate::batch::RelCache::default();
-    for stratum in &p.strata {
-        let mut tuples: BTreeSet<Tuple> = BTreeSet::new();
-        for rule in &stratum.rules {
-            tuples.extend(crate::batch::run_rule(
-                rule, db, &computed, tally, &mut cache,
-            )?);
-        }
-        record(tally, stratum, tuples.len());
+    let (answer, views) = p
+        .strata
+        .split_last()
+        .ok_or_else(|| CoreError::Invalid("program without strata".into()))?;
+    let mut scope = db.clone();
+    let mut run = |stratum: &Stratum, scope: &Database| -> CoreResult<Relation> {
+        let rel = run_union(&stratum.branches, scope, tally)?;
+        record(tally, stratum, rel.len());
         if let Some(sizes) = sizes.as_deref_mut() {
-            sizes.push((stratum.pred.clone(), tuples.len() as u64));
+            sizes.push((stratum.pred.clone(), rel.len() as u64));
         }
-        computed.insert(stratum.pred.clone(), tuples);
+        Ok(rel)
+    };
+    for stratum in views {
+        let view = run(stratum, &scope)?;
+        scope.put_view(view);
     }
-    let rows = computed
-        .remove(&p.query)
-        .ok_or_else(|| CoreError::Invalid(format!("query predicate '{}' not computed", p.query)))?;
-    let mut rel = db.fresh_relation(p.out.clone());
-    rel.extend(rows.into_iter().collect())?;
-    Ok(rel)
+    run(answer, &scope)
 }
 
-pub(crate) fn eval_cond(cond: &Cond, tuple: &Tuple, symbols: &SymbolTable) -> bool {
-    match cond {
-        Cond::Cmp(l, op, r) => {
-            let lv = match l {
-                CTerm::Const(v) => v,
-                CTerm::Col(i) => tuple.get(*i),
-            };
-            let rv = match r {
-                CTerm::Const(v) => v,
-                CTerm::Col(i) => tuple.get(*i),
-            };
-            op.eval_resolved(lv, rv, symbols)
-        }
-        Cond::And(cs) => cs.iter().all(|c| eval_cond(c, tuple, symbols)),
-        Cond::Or(cs) => cs.iter().any(|c| eval_cond(c, tuple, symbols)),
+/// Executes query branches and unions their answers.
+fn run_union(
+    branches: &[QueryPlan],
+    db: &Database,
+    tally: &mut Option<TallyMap>,
+) -> CoreResult<Relation> {
+    let mut iter = branches.iter();
+    let first = iter
+        .next()
+        .ok_or_else(|| CoreError::Invalid("empty union".into()))?;
+    let mut result = crate::batch::run_query(first, db, tally)?;
+    for branch in iter {
+        let r = crate::batch::run_query(branch, db, tally)?;
+        result.extend(r.iter().cloned().collect())?;
     }
-}
-
-/// Executes a compiled RA operator tree to its tuple set.
-pub fn run_ops(op: &OpNode, db: &Database) -> CoreResult<BTreeSet<Tuple>> {
-    crate::batch::run_ops(op, db, &mut None)
+    Ok(result)
 }
 
 /// The 0-ary encoding of a Boolean result: `{()}` for true, `{}` for
@@ -585,33 +416,35 @@ pub fn execute(plan: &Plan, db: &Database) -> CoreResult<Relation> {
 pub struct ExecFeedback {
     /// Rows in the final result.
     pub out_rows: u64,
-    /// Actual size of each computed Datalog IDB, in stratum order
-    /// (empty for non-program plans). Re-plans feed these back as
+    /// Actual size of each stratum of a program, in stratum order
+    /// (empty for other plans). Re-plans feed these back as
     /// [`PlanHints`](crate::plan::PlanHints), replacing the EDB-derived bounds.
     pub idb_rows: Vec<(String, u64)>,
 }
 
 /// The planner's recorded estimate for the plan's final output, if the
 /// plan was compiled under the cost-based strategy: per-branch sums for
-/// unions, the query stratum's bound for programs.
+/// unions, the last stratum's estimate for programs.
 pub fn plan_est(plan: &Plan) -> Option<u64> {
     match plan {
-        Plan::Union(branches) => branches
-            .iter()
-            .map(|q| q.est_rows)
-            .try_fold(0u64, |acc, e| e.map(|e| acc.saturating_add(e))),
-        Plan::Program(p) => p
-            .strata
-            .iter()
-            .find(|s| s.pred == p.query)
-            .and_then(|s| s.est_rows),
-        Plan::Sentence(_) | Plan::Ops { .. } => None,
+        Plan::Union(branches) => union_est(branches),
+        Plan::Program(p) => p.strata.last().and_then(|s| s.est_rows),
+        Plan::Sentence(_) => None,
     }
+}
+
+/// The sum of the branches' recorded estimates (`None` if any is
+/// missing).
+pub fn union_est(branches: &[QueryPlan]) -> Option<u64> {
+    branches
+        .iter()
+        .map(|q| q.est_rows)
+        .try_fold(0u64, |acc, e| e.map(|e| acc.saturating_add(e)))
 }
 
 /// [`execute`], additionally harvesting the actual row counts the
 /// planner's feedback loop consumes. Costs nothing beyond normal
-/// execution: program IDB sizes are observed as each stratum completes,
+/// execution: program view sizes are observed as each stratum completes,
 /// and the output count reads the result relation's length.
 pub fn execute_feedback(plan: &Plan, db: &Database) -> CoreResult<(Relation, ExecFeedback)> {
     let mut idb_rows = Vec::new();
@@ -628,26 +461,9 @@ pub fn execute_feedback(plan: &Plan, db: &Database) -> CoreResult<(Relation, Exe
 
 fn execute_inner(plan: &Plan, db: &Database, tally: &mut Option<TallyMap>) -> CoreResult<Relation> {
     match plan {
-        Plan::Union(branches) => {
-            let mut iter = branches.iter();
-            let first = iter
-                .next()
-                .ok_or_else(|| CoreError::Invalid("empty union".into()))?;
-            let mut result = crate::batch::run_query(first, db, tally)?;
-            for branch in iter {
-                let r = crate::batch::run_query(branch, db, tally)?;
-                result.extend(r.iter().cloned().collect())?;
-            }
-            Ok(result)
-        }
+        Plan::Union(branches) => run_union(branches, db, tally),
         Plan::Sentence(s) => Ok(boolean_relation(crate::batch::run_sentence(s, db, tally)?)),
         Plan::Program(p) => run_program_collect(p, db, tally, None),
-        Plan::Ops { root, out } => {
-            let tuples = crate::batch::run_ops(root, db, tally)?;
-            let mut rel = db.fresh_relation(out.clone());
-            rel.extend(tuples.into_iter().collect())?;
-            Ok(rel)
-        }
     }
 }
 
@@ -806,50 +622,13 @@ impl Annot<'_> {
         }
         Some(total)
     }
-
-    /// Estimate for a bulk operator node, bottom-up.
-    fn est_ops(&self, op: &OpNode) -> Option<u64> {
-        let db = self.db?;
-        Some(match op {
-            OpNode::Table(name) => db.relation(name)?.len() as u64,
-            OpNode::Project { input, .. } => self.est_ops(input)?,
-            // A selection with no statistics: assume 1-in-3 qualify.
-            OpNode::Select { input, .. } => (self.est_ops(input)? / 3).max(1),
-            OpNode::Product(l, r) => self.est_ops(l)?.saturating_mul(self.est_ops(r)?),
-            OpNode::Join {
-                checks,
-                left,
-                right,
-            }
-            | OpNode::NaturalJoin {
-                checks,
-                left,
-                right,
-                ..
-            } => {
-                let cross = self.est_ops(left)?.saturating_mul(self.est_ops(right)?);
-                let eq = checks.iter().filter(|(_, op, _)| *op == CmpOp::Eq).count();
-                let shift = (2 * eq as u32).min(63);
-                (cross >> shift).max(1)
-            }
-            // Difference and antijoin are bounded by the left input.
-            OpNode::Diff(l, _) | OpNode::Antijoin { left: l, .. } => self.est_ops(l)?,
-            OpNode::Union(l, r) => self.est_ops(l)?.saturating_add(self.est_ops(r)?),
-        })
-    }
 }
 
 fn fmt_term(t: &Term) -> String {
     match t {
         Term::Const(v) => v.to_string(),
         Term::Col { slot, col } => format!("t{slot}.c{col}"),
-        Term::Var(s) => format!("v{s}"),
     }
-}
-
-fn fmt_cols(cols: &[usize]) -> String {
-    let parts: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
-    format!("[{}]", parts.join(", "))
 }
 
 fn explain_formula(f: &Formula, annot: &Annot<'_>) -> ExplainNode {
@@ -866,15 +645,6 @@ fn explain_formula(f: &Formula, annot: &Annot<'_>) -> ExplainNode {
             "filter",
             format!("{} {} {}", fmt_term(&p.left), p.op, fmt_term(&p.right)),
         ),
-        Formula::NegProbe { rel, cols, .. } => {
-            let mut node = if cols.is_empty() {
-                ExplainNode::new("neg-probe", format!("{rel} empty?"))
-            } else {
-                ExplainNode::new("neg-probe", format!("{rel} on cols {}", fmt_cols(cols)))
-            };
-            node.build = annot.build(f);
-            node
-        }
     }
 }
 
@@ -937,56 +707,6 @@ fn explain_query(q: &QueryPlan, annot: &Annot<'_>) -> ExplainNode {
     )
 }
 
-fn explain_ops(op: &OpNode, annot: &Annot<'_>) -> ExplainNode {
-    let join_detail = |checks: &[(usize, CmpOp, usize)]| {
-        let eq = checks.iter().filter(|(_, op, _)| *op == CmpOp::Eq).count();
-        let residual = checks.len() - eq;
-        if eq == 0 {
-            format!("nested loop ({residual} residual check(s))")
-        } else {
-            format!("hash join on {eq} key(s), {residual} residual check(s)")
-        }
-    };
-    let node =
-        match op {
-            OpNode::Table(name) => ExplainNode::new("table", name.clone()),
-            OpNode::Project { cols, input } => {
-                ExplainNode::new("project", format!("cols {}", fmt_cols(cols)))
-                    .with(vec![explain_ops(input, annot)])
-            }
-            OpNode::Select { input, .. } => ExplainNode::new("select", "compiled condition")
-                .with(vec![explain_ops(input, annot)]),
-            OpNode::Product(l, r) => ExplainNode::new("product", "")
-                .with(vec![explain_ops(l, annot), explain_ops(r, annot)]),
-            OpNode::Join {
-                checks,
-                left,
-                right,
-            } => ExplainNode::new("join", join_detail(checks))
-                .with(vec![explain_ops(left, annot), explain_ops(right, annot)]),
-            OpNode::NaturalJoin {
-                checks,
-                left,
-                right,
-                ..
-            } => ExplainNode::new("natural-join", join_detail(checks))
-                .with(vec![explain_ops(left, annot), explain_ops(right, annot)]),
-            OpNode::Diff(l, r) => ExplainNode::new("diff", "")
-                .with(vec![explain_ops(l, annot), explain_ops(r, annot)]),
-            OpNode::Union(l, r) => ExplainNode::new("union", "")
-                .with(vec![explain_ops(l, annot), explain_ops(r, annot)]),
-            OpNode::Antijoin {
-                checks,
-                left,
-                right,
-            } => ExplainNode::new("antijoin", join_detail(checks))
-                .with(vec![explain_ops(left, annot), explain_ops(right, annot)]),
-        };
-    let mut node = node.rows(annot.est_ops(op), annot.actual(op));
-    node.build = annot.build(op);
-    node
-}
-
 /// Renders a compiled plan as an explain tree (no row counts — see
 /// [`explain_analyze`]).
 pub fn explain(plan: &Plan) -> ExplainNode {
@@ -1011,33 +731,24 @@ fn explain_plan(plan: &Plan, annot: &Annot<'_>) -> ExplainNode {
         Plan::Sentence(s) => {
             ExplainNode::new("sentence", "boolean").with(vec![explain_formula(&s.formula, annot)])
         }
-        Plan::Program(p) => ExplainNode::new("program", format!("query {}", p.query)).with(
-            p.strata
-                .iter()
-                .map(|stratum| {
-                    ExplainNode::new("stratum", stratum.pred.clone())
-                        .with(
-                            stratum
-                                .rules
-                                .iter()
-                                .map(|rule| {
-                                    ExplainNode::new(
-                                        "rule",
-                                        format!("{} head term(s)", rule.head.len()),
-                                    )
-                                    .with(explain_block(&rule.block, annot))
-                                    .rows(annot.est_block(&rule.block), annot.actual(rule))
-                                })
-                                .collect(),
-                        )
-                        .rows(stratum.est_rows, annot.actual(stratum))
-                })
-                .collect(),
-        ),
-        Plan::Ops { root, out } => {
-            ExplainNode::new("ops", format!("{}({})", out.name(), out.attrs().join(", ")))
-                .with(vec![explain_ops(root, annot)])
-                .rows(annot.est_ops(root), annot.actual(root))
+        Plan::Program(p) => {
+            let query = p.strata.last().map_or("", |s| s.pred.as_str());
+            ExplainNode::new("program", format!("query {query}")).with(
+                p.strata
+                    .iter()
+                    .map(|stratum| {
+                        ExplainNode::new("stratum", stratum.pred.clone())
+                            .with(
+                                stratum
+                                    .branches
+                                    .iter()
+                                    .map(|q| explain_query(q, annot))
+                                    .collect(),
+                            )
+                            .rows(stratum.est_rows, annot.actual(stratum))
+                    })
+                    .collect(),
+            )
         }
     }
 }
@@ -1062,6 +773,17 @@ mod tests {
         db
     }
 
+    fn scan(rel: &str, tuple_slot: usize) -> Scan {
+        Scan {
+            rel: rel.into(),
+            tuple_slot,
+            key_cols: Vec::new(),
+            key_terms: Vec::new(),
+            index_id: FULL_SCAN,
+            filters: Vec::new(),
+        }
+    }
+
     /// A hand-built pipeline: q(A) ← R(A, B), S(B) as a tuple-slot plan
     /// with a hash probe into S.
     fn join_plan() -> QueryPlan {
@@ -1071,25 +793,12 @@ mod tests {
             root: Block {
                 pre: Vec::new(),
                 scans: vec![
+                    scan("R", 1),
                     Scan {
-                        rel: "R".into(),
-                        tuple_slot: Some(1),
-                        key_cols: Vec::new(),
-                        key_terms: Vec::new(),
-                        bind_cols: Vec::new(),
-                        check_cols: Vec::new(),
-                        index_id: FULL_SCAN,
-                        filters: Vec::new(),
-                    },
-                    Scan {
-                        rel: "S".into(),
-                        tuple_slot: Some(2),
                         key_cols: vec![0],
                         key_terms: vec![Term::Col { slot: 1, col: 1 }],
-                        bind_cols: Vec::new(),
-                        check_cols: Vec::new(),
                         index_id: 0,
-                        filters: Vec::new(),
+                        ..scan("S", 2)
                     },
                 ],
             },
@@ -1097,8 +806,26 @@ mod tests {
             deferred: Vec::new(),
             shape: EnvShape {
                 tuple_slots: 3,
-                value_slots: 0,
                 indexes: 1,
+            },
+            est_rows: None,
+        }
+    }
+
+    /// `name(x1) ← rel(x1, …)`: the first column of every `rel` tuple.
+    fn first_col(name: &str, rel: &str) -> QueryPlan {
+        QueryPlan {
+            out: TableSchema::new(name, ["x1"]),
+            head_slot: 0,
+            root: Block {
+                pre: Vec::new(),
+                scans: vec![scan(rel, 1)],
+            },
+            defs: vec![Term::Col { slot: 1, col: 0 }],
+            deferred: Vec::new(),
+            shape: EnvShape {
+                tuple_slots: 2,
+                indexes: 0,
             },
             est_rows: None,
         }
@@ -1113,65 +840,22 @@ mod tests {
     }
 
     #[test]
-    fn value_slot_pipeline_with_neg_probe() {
-        // Q(x) ← R(x, y), ¬S(y): Datalog-style value slots.
-        let db = rs_db();
-        let rule = RulePlan {
-            head: vec![Term::Var(0)],
-            block: Block {
-                pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "R".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: vec![(0, 0), (1, 1)],
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: vec![Formula::NegProbe {
-                        rel: "S".into(),
-                        cols: vec![0],
-                        terms: vec![Term::Var(1)],
-                        index_id: 0,
-                    }],
-                }],
-            },
-            shape: EnvShape {
-                tuple_slots: 0,
-                value_slots: 2,
-                indexes: 1,
-            },
-        };
-        let idbs = IdbMap::new();
-        let mut cache = crate::batch::RelCache::default();
-        let out = crate::batch::run_rule(&rule, &db, &idbs, &mut None, &mut cache).unwrap();
-        assert_eq!(out, vec![Tuple::new([3i64])]);
-    }
-
-    #[test]
     fn sentence_short_circuits() {
         let db = rs_db();
         let s = SentencePlan {
             formula: Formula::Exists(Block {
                 pre: Vec::new(),
                 scans: vec![Scan {
-                    rel: "R".into(),
-                    tuple_slot: Some(0),
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: Vec::new(),
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
                     filters: vec![Formula::Pred(Pred {
                         left: Term::Col { slot: 0, col: 0 },
                         op: CmpOp::Eq,
                         right: Term::Const(Value::int(3)),
                     })],
+                    ..scan("R", 0)
                 }],
             }),
             shape: EnvShape {
                 tuple_slots: 1,
-                value_slots: 0,
                 indexes: 0,
             },
         };
@@ -1184,23 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn ops_tree_executes_join_and_diff() {
-        let db = rs_db();
-        // π_A(R ⋈_{B=B} S): the A values whose B appears in S.
-        let join = OpNode::Join {
-            checks: vec![(1, CmpOp::Eq, 0)],
-            left: Box::new(OpNode::Table("R".into())),
-            right: Box::new(OpNode::Table("S".into())),
-        };
-        let root = OpNode::Project {
-            cols: vec![0],
-            input: Box::new(join),
-        };
-        let tuples = run_ops(&root, &db).unwrap();
-        assert_eq!(tuples.len(), 2);
-    }
-
-    #[test]
     fn empty_union_errors() {
         let db = rs_db();
         assert!(execute(&Plan::Union(Vec::new()), &db).is_err());
@@ -1208,109 +875,86 @@ mod tests {
 
     #[test]
     fn scan_set_walks_every_read_site() {
-        // Pipeline branch: scans plus a NegProbe filter and an Exists
-        // block inside a deferred conjunct.
+        // Pipeline branch: scans plus an Exists block inside a deferred
+        // conjunct.
         let mut q = join_plan();
-        q.root.scans[0].filters.push(Formula::NegProbe {
-            rel: "N".into(),
-            cols: vec![0],
-            terms: vec![Term::Const(Value::int(1))],
-            index_id: 1,
-        });
         q.deferred
             .push(Formula::Not(Box::new(Formula::Exists(Block {
                 pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "D".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: Vec::new(),
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: Vec::new(),
-                }],
+                scans: vec![scan("D", 2)],
             }))));
         let set = scan_set(&Plan::Union(vec![q]));
         let names: Vec<&str> = set.iter().map(String::as_str).collect();
-        assert_eq!(names, ["D", "N", "R", "S"]);
-
-        // Ops tree: every table leaf.
-        let ops = Plan::Ops {
-            root: OpNode::Diff(
-                Box::new(OpNode::Table("A".into())),
-                Box::new(OpNode::Project {
-                    cols: vec![0],
-                    input: Box::new(OpNode::Table("B".into())),
-                }),
-            ),
-            out: TableSchema::new("q", ["x"]),
-        };
-        let names: Vec<String> = scan_set(&ops).into_iter().collect();
-        assert_eq!(names, ["A", "B"]);
+        assert_eq!(names, ["D", "R", "S"]);
     }
 
-    #[test]
-    fn scan_set_excludes_computed_idbs() {
-        // P(x) ← R(x, y); Q(x) ← P(x), ¬S(x): the program reads R and S
-        // from storage, while P is computed per execution.
-        let rule_p = RulePlan {
-            head: vec![Term::Var(0)],
-            block: Block {
-                pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "R".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: vec![(0, 0)],
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: Vec::new(),
-                }],
-            },
-            shape: EnvShape::default(),
-        };
-        let rule_q = RulePlan {
-            head: vec![Term::Var(0)],
-            block: Block {
-                pre: Vec::new(),
-                scans: vec![Scan {
-                    rel: "P".into(),
-                    tuple_slot: None,
-                    key_cols: Vec::new(),
-                    key_terms: Vec::new(),
-                    bind_cols: vec![(0, 0)],
-                    check_cols: Vec::new(),
-                    index_id: FULL_SCAN,
-                    filters: vec![Formula::NegProbe {
-                        rel: "S".into(),
-                        cols: vec![0],
-                        terms: vec![Term::Var(0)],
-                        index_id: 0,
-                    }],
-                }],
-            },
-            shape: EnvShape::default(),
-        };
+    /// `P(x) ← R(x, _)` as a view, then `Q(x) ← P(x)`, with a stored
+    /// table also named `P` that the view shadows.
+    fn view_program() -> (Database, Plan) {
+        let mut db = rs_db();
+        db.add_relation(Relation::from_rows(TableSchema::new("P", ["C"]), [[99i64]]).unwrap());
         let plan = Plan::Program(ProgramPlan {
             strata: vec![
                 Stratum {
                     pred: "P".into(),
-                    rules: vec![rule_p],
-                    est_rows: None,
+                    branches: vec![first_col("P", "R"), first_col("P", "S")],
+                    est_rows: Some(5),
                 },
                 Stratum {
                     pred: "Q".into(),
-                    rules: vec![rule_q],
-                    est_rows: None,
+                    branches: vec![first_col("Q", "P")],
+                    est_rows: Some(5),
                 },
             ],
-            query: "Q".into(),
-            out: TableSchema::new("Q", ["x1"]),
         });
+        (db, plan)
+    }
+
+    #[test]
+    fn scan_set_excludes_computed_idbs() {
+        // The program reads R and S from storage; P is computed per
+        // execution, so the stored P is not a dependency.
+        let (_, plan) = view_program();
         let names: Vec<String> = scan_set(&plan).into_iter().collect();
         assert_eq!(names, ["R", "S"]);
+    }
+
+    #[test]
+    fn program_views_shadow_tables_and_feed_back_their_sizes() {
+        let (db, plan) = view_program();
+        let (out, feedback) = execute_feedback(&plan, &db).unwrap();
+        // P = {1, 2, 3} ∪ {10, 20}; the stored P(99) is shadowed.
+        let vals: Vec<i64> = out
+            .iter()
+            .map(|t| match t.get(0) {
+                Value::Int(i) => *i,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(vals, [1, 2, 3, 10, 20]);
+        assert_eq!(out.schema().name(), "Q");
+        assert_eq!(
+            feedback.idb_rows,
+            [("P".to_string(), 5), ("Q".to_string(), 5)]
+        );
+        assert_eq!(
+            db.relation("P").unwrap().len(),
+            1,
+            "the database is untouched"
+        );
+        assert_eq!(plan_est(&plan), Some(5));
+        let (_, node) = explain_analyze(&plan, &db).unwrap();
+        assert_eq!(
+            (node.kind.as_str(), node.detail.as_str()),
+            ("program", "query Q")
+        );
+        let strata: Vec<(&str, Option<u64>, usize)> = node
+            .children
+            .iter()
+            .map(|n| (n.detail.as_str(), n.actual_rows, n.children.len()))
+            .collect();
+        assert_eq!(strata, [("P", Some(5), 2), ("Q", Some(5), 1)]);
+        assert!(node.children[0].children.iter().all(|n| n.kind == "query"));
     }
 
     #[test]
@@ -1352,36 +996,6 @@ mod tests {
         assert_eq!(scans[0].rows_pair(), (Some(4), Some(4)));
         assert_eq!(scans[1].actual_rows, Some(3));
         assert!(scans[1].est_rows.is_some());
-    }
-
-    #[test]
-    fn explain_analyze_counts_ops_rows() {
-        let db = rs_db();
-        // π_A(R ⋈_{B=B} S): join produces 3 pairs, projection dedups to 2.
-        let plan = Plan::Ops {
-            root: OpNode::Project {
-                cols: vec![0],
-                input: Box::new(OpNode::Join {
-                    checks: vec![(1, CmpOp::Eq, 0)],
-                    left: Box::new(OpNode::Table("R".into())),
-                    right: Box::new(OpNode::Table("S".into())),
-                }),
-            },
-            out: TableSchema::new("q", ["A"]),
-        };
-        let (rel, node) = explain_analyze(&plan, &db).unwrap();
-        assert_eq!(rel.len(), 2);
-        assert_eq!(node.actual_rows, Some(2));
-        let project = &node.children[0];
-        assert_eq!(project.kind, "project");
-        assert_eq!(project.actual_rows, Some(2));
-        let join = &project.children[0];
-        assert_eq!(join.actual_rows, Some(3));
-        // est: |R|·|S| = 8, one equality key → 8 >> 2 = 2.
-        assert_eq!(join.est_rows, Some(2));
-        let tables: Vec<(Option<u64>, Option<u64>)> =
-            join.children.iter().map(|n| n.rows_pair()).collect();
-        assert_eq!(tables, vec![(Some(4), Some(4)), (Some(2), Some(2))]);
     }
 
     impl ExplainNode {

@@ -59,3 +59,12 @@ pub use storage::{scan_image_builds, ColumnImage, TupleSet};
 pub use symbol::SymbolTable;
 pub use trace::{Histogram, Span};
 pub use value::Value;
+
+/// How deeply a query may nest: parenthesized and quantified
+/// subexpressions in the TRC, SQL and RA parsers, operator depth in RA,
+/// and the longest IDB dependency chain of a Datalog program. Every pass
+/// after parsing (canonicalization, translation, lowering, execution,
+/// explain, rendering) recurses over that structure, so bounding it at
+/// the front door keeps the whole pipeline inside a thread's stack.
+/// Deeper inputs fail with [`CoreError::NestingTooDeep`].
+pub const MAX_NESTING: usize = 128;

@@ -1,9 +1,8 @@
 //! The shared planning layer: per-table statistics, a cardinality
 //! estimator, and Selinger-style dynamic programming over join orders.
 //!
-//! All the evaluators (TRC, SQL via the TRC hub, RA, Datalog) lower
-//! onto the shared pipeline IR and route their join ordering through
-//! this module. Ordering is cost-based by default: [`DbStats`] snapshots
+//! All four languages compile through the TRC hub onto the shared
+//! pipeline IR and route their join ordering through this module. Ordering is cost-based by default: [`DbStats`] snapshots
 //! per-column distinct sketches and `Int` ranges
 //! ([`crate::stats::TableStats`]), the estimator turns equality/range
 //! predicates and equi-join classes into cardinalities, and
@@ -25,8 +24,8 @@ use std::sync::Arc;
 /// ordering. Holds exact sizes, per-column [`TableStats`] snapshots
 /// (distinct sketches + `Int` ranges, materialized lazily by the
 /// relations and cached per mutation epoch), and name-keyed row
-/// *overrides*: estimated sizes for predicates with no stored relation
-/// (Datalog IDBs) and execution-feedback actuals ([`PlanHints`]).
+/// *overrides*: estimated sizes for names with no stored rows (the
+/// views of a program) and execution-feedback actuals ([`PlanHints`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DbStats {
     sizes: BTreeMap<String, usize>,
@@ -56,7 +55,7 @@ impl DbStats {
         }
     }
 
-    /// Tuples in `table`: a hint override when one is set (IDB
+    /// Tuples in `table`: a hint override when one is set (view
     /// estimates, feedback actuals), else the stored size (0 for
     /// unknown tables).
     pub fn size(&self, table: &str) -> usize {
@@ -82,13 +81,15 @@ impl DbStats {
     }
 
     /// Estimated distinct values in `table.col`, clamped to ≥ 1. For
-    /// names without column statistics (IDBs, overrides) every row is
-    /// assumed distinct — the optimistic default that keeps key probes
-    /// attractive.
+    /// names without column statistics (views, overrides of empty
+    /// tables) every row is assumed distinct — the optimistic default
+    /// that keeps key probes attractive.
     pub fn distinct(&self, table: &str, col: usize) -> f64 {
         let fallback = self.size(table).max(1) as f64;
+        let overridden = self.overrides.contains_key(table);
         match self.tables.get(table) {
-            Some(st) if self.overrides.contains_key(table) => {
+            Some(st) if overridden && st.rows() == 0 => fallback,
+            Some(st) if overridden => {
                 // An override re-scales the row count; scale distincts
                 // proportionally, capped by the observed estimate.
                 let rows = st.rows().max(1) as f64;
@@ -142,8 +143,8 @@ impl DbStats {
 /// Execution-feedback hints for re-planning: actual cardinalities
 /// observed by prior executions, keyed by table/predicate name. The
 /// engine's plan cache records actuals per query and threads them back
-/// through compilation — most usefully replacing the Datalog lowering's
-/// IDB size estimates with the sizes the fixpoint actually produced.
+/// through compilation — most usefully replacing a program's view size
+/// estimates with the sizes its execution actually produced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanHints {
     /// Observed rows per table/predicate name.

@@ -208,14 +208,20 @@ impl DlProgram {
     /// The schema the program's answer is reported under: the query
     /// predicate over positional attributes `x1, x2, …`.
     pub fn output_schema(&self) -> TableSchema {
+        self.idb_schema(&self.query)
+    }
+
+    /// The positional schema `pred(x1, x2, …)` of an IDB, its arity
+    /// read off its first rule's head.
+    pub fn idb_schema(&self, pred: &str) -> TableSchema {
         let arity = self
             .rules
             .iter()
-            .find(|r| r.head.pred == self.query)
+            .find(|r| r.head.pred == pred)
             .map(|r| r.head.terms.len())
             .unwrap_or(0);
         TableSchema::new(
-            self.query.clone(),
+            pred,
             (1..=arity).map(|i| format!("x{i}")).collect::<Vec<_>>(),
         )
     }

@@ -1,14 +1,16 @@
 //! Safety, stratification and fragment checks for Datalog¬ programs.
 
 use crate::ast::{DlProgram, DlTerm, Literal};
-use rd_core::{Catalog, CoreError, CoreResult};
+use rd_core::{Catalog, CoreError, CoreResult, MAX_NESTING};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Full validation used by [`crate::parser::parse_program`]:
 /// 1. arities consistent (EDBs against the catalog; IDBs across uses);
 /// 2. rule safety: every variable of the head, of negated atoms, and of
 ///    built-ins occurs in a positive relational subgoal [Ceri et al. 89];
-/// 3. non-recursive dependency graph;
+/// 3. non-recursive dependency graph, whose longest IDB dependency
+///    chain is at most [`MAX_NESTING`] predicates long (deeper programs
+///    fail with [`CoreError::NestingTooDeep`]);
 /// 4. no wildcard in rule heads or built-ins (a wildcard has no value
 ///    to project or compare);
 /// 5. the query predicate is defined.
@@ -98,8 +100,12 @@ pub fn check_program(p: &DlProgram, catalog: &Catalog) -> CoreResult<()> {
         }
     }
 
-    if !is_nonrecursive(p) {
-        return Err(CoreError::Invalid("program is recursive".into()));
+    match dependency_depth(p) {
+        None => return Err(CoreError::Invalid("program is recursive".into())),
+        Some(depth) if depth > MAX_NESTING => {
+            return Err(CoreError::NestingTooDeep { limit: MAX_NESTING })
+        }
+        Some(_) => {}
     }
     if !idbs.contains(&p.query) {
         return Err(CoreError::Invalid(format!(
@@ -133,50 +139,71 @@ pub fn is_safe(p: &DlProgram) -> bool {
 /// `true` if the IDB dependency graph is acyclic (no IDB reachable from
 /// itself through rule bodies).
 pub fn is_nonrecursive(p: &DlProgram) -> bool {
+    dependency_depth(p).is_some()
+}
+
+/// The number of IDBs on the program's longest dependency chain (1 when
+/// every rule reads only EDBs), or `None` if the dependency graph has a
+/// cycle.
+fn dependency_depth(p: &DlProgram) -> Option<usize> {
+    let order = layered_order(p)?;
+    Some(order.iter().map(|&(_, depth)| depth).max().unwrap_or(0))
+}
+
+/// Topological evaluation order of the IDB predicates (dependencies
+/// first). Assumes [`is_nonrecursive`]; the IDBs of a dependency cycle
+/// are left out.
+pub fn topo_order(p: &DlProgram) -> Vec<String> {
+    layered_order(p)
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(idb, _)| idb)
+        .collect()
+}
+
+/// Every IDB with its depth, dependencies first (Kahn's algorithm,
+/// smallest ready name first), or `None` on a cycle. Iterative, so a
+/// dependency chain of any length is safe to measure.
+fn layered_order(p: &DlProgram) -> Option<Vec<(String, usize)>> {
     let idbs = p.idbs();
-    // Edges: head -> IDBs in body.
-    let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut pending: BTreeMap<&str, BTreeSet<&str>> =
+        idbs.iter().map(|i| (i.as_str(), BTreeSet::new())).collect();
+    let mut users: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for rule in &p.rules {
-        let entry = edges.entry(&rule.head.pred).or_default();
         for lit in &rule.body {
             if let Literal::Pos(a) | Literal::Neg(a) = lit {
-                if idbs.contains(&a.pred) {
-                    entry.insert(&a.pred);
+                if idbs.contains(&a.pred)
+                    && pending
+                        .get_mut(rule.head.pred.as_str())
+                        .expect("heads are IDBs")
+                        .insert(&a.pred)
+                {
+                    users.entry(&a.pred).or_default().push(&rule.head.pred);
                 }
             }
         }
     }
-    // DFS cycle detection.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Gray,
-        Black,
-    }
-    let mut marks: BTreeMap<&str, Mark> = idbs.iter().map(|i| (i.as_str(), Mark::White)).collect();
-    fn dfs<'a>(
-        node: &'a str,
-        edges: &BTreeMap<&'a str, BTreeSet<&'a str>>,
-        marks: &mut BTreeMap<&'a str, Mark>,
-    ) -> bool {
-        match marks.get(node).copied() {
-            Some(Mark::Gray) => return false,
-            Some(Mark::Black) | None => return true,
-            Some(Mark::White) => {}
-        }
-        marks.insert(node, Mark::Gray);
-        if let Some(next) = edges.get(node) {
-            for n in next {
-                if !dfs(n, edges, marks) {
-                    return false;
-                }
+    let mut depth: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut ready: BTreeSet<&str> = pending
+        .iter()
+        .filter(|(_, deps)| deps.is_empty())
+        .map(|(&idb, _)| idb)
+        .collect();
+    let mut order = Vec::with_capacity(idbs.len());
+    while let Some(idb) = ready.pop_first() {
+        let d = *depth.entry(idb).or_insert(1);
+        order.push((idb.to_string(), d));
+        for &user in users.get(idb).into_iter().flatten() {
+            let du = depth.entry(user).or_insert(1);
+            *du = (*du).max(d + 1);
+            let deps = pending.get_mut(user).expect("users are IDBs");
+            deps.remove(idb);
+            if deps.is_empty() {
+                ready.insert(user);
             }
         }
-        marks.insert(node, Mark::Black);
-        true
     }
-    let nodes: Vec<&str> = idbs.iter().map(String::as_str).collect();
-    nodes.iter().all(|n| dfs(n, &edges, &mut marks))
+    (order.len() == idbs.len()).then_some(order)
 }
 
 /// `true` if the program lies in Datalog\* (Definition 1): non-recursive,
@@ -207,46 +234,6 @@ pub fn is_datalog_star(p: &DlProgram) -> bool {
         }
     }
     body_uses.values().all(|&c| c <= 1)
-}
-
-/// Topological evaluation order of the IDB predicates (dependencies
-/// first). Assumes [`is_nonrecursive`].
-pub fn topo_order(p: &DlProgram) -> Vec<String> {
-    let idbs = p.idbs();
-    let mut deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for rule in &p.rules {
-        let entry = deps.entry(rule.head.pred.clone()).or_default();
-        for lit in &rule.body {
-            if let Literal::Pos(a) | Literal::Neg(a) = lit {
-                if idbs.contains(&a.pred) && a.pred != rule.head.pred {
-                    entry.insert(a.pred.clone());
-                }
-            }
-        }
-    }
-    let mut order = Vec::new();
-    let mut done: BTreeSet<String> = BTreeSet::new();
-    fn visit(
-        node: &str,
-        deps: &BTreeMap<String, BTreeSet<String>>,
-        done: &mut BTreeSet<String>,
-        order: &mut Vec<String>,
-    ) {
-        if done.contains(node) {
-            return;
-        }
-        done.insert(node.to_string());
-        if let Some(ds) = deps.get(node) {
-            for d in ds {
-                visit(d, deps, done, order);
-            }
-        }
-        order.push(node.to_string());
-    }
-    for idb in &idbs {
-        visit(idb, &deps, &mut done, &mut order);
-    }
-    order
 }
 
 #[cfg(test)]
@@ -330,5 +317,30 @@ mod tests {
             Err(CoreError::Invalid(msg)) => assert!(msg.contains("built-in"), "{msg}"),
             other => panic!("expected an Invalid error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dependency_chains_are_limited_exactly() {
+        // `n` IDBs, each reading the one before.
+        let chain = |n: usize| {
+            let mut text = String::from("I0(x) :- R(x, _).\n");
+            for k in 1..n - 1 {
+                text.push_str(&format!("I{k}(x) :- I{}(x).\n", k - 1));
+            }
+            text.push_str(&format!("Q(x) :- I{}(x), not I0(x).", n - 2));
+            parse_program_unchecked(&text).unwrap()
+        };
+        let p = chain(MAX_NESTING);
+        assert_eq!(dependency_depth(&p), Some(MAX_NESTING));
+        assert!(check_program(&p, &catalog()).is_ok());
+        for n in [MAX_NESTING + 1, 20 * MAX_NESTING] {
+            assert_eq!(
+                check_program(&chain(n), &catalog()),
+                Err(CoreError::NestingTooDeep { limit: MAX_NESTING })
+            );
+        }
+        let cycle = parse_program_unchecked("I(x) :- J(x).\nJ(x) :- I(x).\nQ(x) :- I(x).").unwrap();
+        assert_eq!(dependency_depth(&cycle), None);
+        assert!(!is_nonrecursive(&cycle));
     }
 }

@@ -17,6 +17,10 @@
 //! (`y > 5`). The last rule's head is the query predicate unless stated
 //! otherwise.
 //!
+//! This is a syntax crate — AST, parser, safety, stratification and
+//! fragment checks, printing. Programs run by compiling through the TRC
+//! hub (`rd_translate::eval`).
+//!
 //! ```
 //! use rd_datalog::parse_program;
 //! use rd_core::{Catalog, TableSchema};
@@ -32,10 +36,8 @@
 
 pub mod ast;
 pub mod check;
-pub mod eval;
 pub mod parser;
 
 pub use ast::{Atom, BuiltIn, DlProgram, DlTerm, Rule};
 pub use check::{is_datalog_star, is_nonrecursive, is_safe};
-pub use eval::{eval_program, lower_program, lower_program_with};
 pub use parser::{parse_program, parse_program_unchecked};

@@ -3,11 +3,11 @@
 
 use crate::Language;
 use rd_core::exec::{self, Plan};
-use rd_core::{Catalog, CoreResult, Database, PlanHints, PlannerOpts, Relation, TableSchema};
+use rd_core::{Catalog, CoreResult, Database, PlanHints, PlannerOpts, Relation};
 use rd_datalog::DlProgram;
 use rd_ra::RaExpr;
 use rd_sql::SqlUnion;
-use rd_trc::{OutputSpec, TrcQuery, TrcUnion};
+use rd_trc::TrcUnion;
 
 /// A query parsed in its source language and brought to canonical form.
 ///
@@ -89,57 +89,29 @@ impl Artifact {
 
     /// Like [`compile`](Artifact::compile), but with explicit planner
     /// options and cardinality hints. The engine threads execution
-    /// feedback (observed result and per-stratum IDB sizes) back through
-    /// `hints` when it re-plans a query whose estimates proved badly
-    /// wrong.
+    /// feedback (observed result and per-stratum view sizes) back
+    /// through `hints` when it re-plans a query whose estimates proved
+    /// badly wrong.
     ///
-    /// RA\*⊲ expressions and Datalog\* programs compile from their hub
-    /// TRC, so the TRC planner serves them; every other RA and Datalog
-    /// input (union, disjunctive selections, IDBs with several rules or
-    /// several uses) keeps its native lowering.
+    /// Every language compiles through the TRC hub: SQL by its 1-to-1
+    /// translation, RA and Datalog by [`rd_translate::eval`], which
+    /// keeps unions and shared IDBs as views.
     pub fn compile_with(
         &self,
         db: &Database,
         opts: &PlannerOpts,
         hints: &PlanHints,
     ) -> CoreResult<Plan> {
-        if let Some(q) = self.hub_trc(&db.catalog())? {
-            return rd_trc::eval::lower_union_with(&TrcUnion::single(q), db, opts, hints);
-        }
         match self {
             Artifact::Trc(u) => rd_trc::eval::lower_union_with(u, db, opts, hints),
             Artifact::Sql(u) => rd_sql::lower_sql_with(u, db, opts, hints),
-            Artifact::Datalog(p) => Ok(Plan::Program(rd_datalog::lower_program_with(
-                p, db, opts, hints,
-            )?)),
-            Artifact::Ra(e) => rd_ra::lower_with(e, db, opts, hints),
+            Artifact::Ra(e) => rd_translate::lower_ra(e, db, opts, hints),
+            Artifact::Datalog(p) => rd_translate::lower_program(p, db, opts, hints),
         }
     }
 
-    /// The TRC\* query an RA\*⊲ expression or a Datalog\* program
-    /// compiles from: Theorem 6's pattern-preserving translations
-    /// (`ra_to_datalog`, then `datalog_to_trc`), with the output head
-    /// named by the source language's own schema rule
-    /// ([`RaExpr::output_schema`], [`DlProgram::output_schema`]) so
-    /// answers keep their native name and attributes. `None` for TRC,
-    /// SQL, and RA or Datalog outside those fragments.
-    fn hub_trc(&self, catalog: &Catalog) -> CoreResult<Option<TrcQuery>> {
-        match self {
-            Artifact::Ra(e) if rd_ra::is_ra_star_antijoin(e) => {
-                let program = rd_translate::ra_to_datalog(e, catalog)?;
-                let head = output_head(&e.output_schema(catalog)?);
-                rd_translate::datalog_to_trc_as(&program, catalog, head).map(Some)
-            }
-            Artifact::Datalog(p) if rd_datalog::is_datalog_star(p) => {
-                let head = output_head(&p.output_schema());
-                rd_translate::datalog_to_trc_as(p, catalog, head).map(Some)
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Evaluates the artifact over `db` in its *source* language (no
-    /// translation round-trip), normalizing the output to a
+    /// Evaluates the artifact over `db` under its source language's
+    /// answer schema, normalizing the output to a
     /// [`Relation`]: one [`compile`](Artifact::compile) followed by one
     /// pass of the shared executor. Boolean sentences (TRC `φ` without
     /// an output head, SQL `SELECT [NOT] EXISTS ...`) evaluate to a
@@ -147,9 +119,4 @@ impl Artifact {
     pub fn eval(&self, db: &Database) -> CoreResult<Relation> {
         exec::execute(&self.compile(db)?, db)
     }
-}
-
-/// The TRC output head naming a native answer schema.
-fn output_head(schema: &TableSchema) -> OutputSpec {
-    OutputSpec::new(schema.name(), schema.attrs().to_vec())
 }

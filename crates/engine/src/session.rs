@@ -582,7 +582,7 @@ impl Session {
         let root_q = exec::q_error(est, feedback.out_rows);
         self.shared.record_q_error(root_q);
         // Per-stratum errors count too: a program can nail the final
-        // count while wildly mis-sizing an intermediate IDB.
+        // count while wildly mis-sizing an intermediate view.
         let mut worst_q = root_q;
         if let Plan::Program(p) = plan {
             for stratum in &p.strata {
@@ -599,7 +599,7 @@ impl Session {
         if worst_q < REPLAN_Q_ERROR {
             return;
         }
-        // Only IDB actuals are expressible as hints; without them a
+        // Only view actuals are expressible as hints; without them a
         // recompile would see the same statistics and produce the same
         // plan.
         if feedback.idb_rows.is_empty() {

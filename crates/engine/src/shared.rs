@@ -74,7 +74,8 @@ const FEEDBACK_CAPACITY: usize = 4096;
 pub struct FeedbackEntry {
     /// Rows the final result actually had.
     pub out_rows: u64,
-    /// Actual size of each computed Datalog IDB, in stratum order.
+    /// Actual size of each stratum (view) of a program, in stratum
+    /// order.
     pub idb_rows: Vec<(String, u64)>,
 }
 
@@ -767,7 +768,7 @@ impl EngineShared {
         true
     }
 
-    /// The planner hints recorded for `key`: the per-IDB actual sizes of
+    /// The planner hints recorded for `key`: the per-view actual sizes of
     /// the last mis-estimated execution (empty when none stored — the
     /// common case).
     pub(crate) fn feedback_hints(&self, key: &PlanKey) -> PlanHints {

@@ -275,7 +275,7 @@ fn session_stats_accumulate_and_since_are_inverses() {
 /// hints, and the refreshed cache entry carries the corrected
 /// per-stratum estimate. Repeats must NOT re-plan again (the feedback
 /// is already incorporated). The second rule for `I` keeps the program
-/// outside Datalog\*, so it lowers natively into strata.
+/// outside Datalog\*, so `I` is a view: a stratum of its own.
 #[test]
 fn misestimated_program_replans_once_with_observed_actuals() {
     const PROGRAM: &str = "I(x) :- R(x, y). I(x) :- R(x, y), y < 0. Q(x) :- I(x).";

@@ -54,11 +54,8 @@ impl AnyQuery {
                     rd_trc::eval::eval_query(q, db)?.iter().cloned().collect()
                 }
             }
-            AnyQuery::Ra(e) => rd_ra::eval::eval(e, db)?.tuples,
-            AnyQuery::Datalog(p) => rd_datalog::eval::eval_program(p, db)?
-                .iter()
-                .cloned()
-                .collect(),
+            AnyQuery::Ra(e) => rd_translate::eval_ra(e, db)?.iter().cloned().collect(),
+            AnyQuery::Datalog(p) => rd_translate::eval_program(p, db)?.iter().cloned().collect(),
             AnyQuery::Sql(u) => {
                 if u.branches.len() == 1 && u.branches[0].is_boolean() {
                     bool_tuples(rd_sql::translate::eval_sql_boolean(&u.branches[0], db)?)

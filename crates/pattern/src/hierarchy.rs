@@ -230,12 +230,12 @@ pub fn verify_lemma19(bounds: Lemma19Bounds) -> SeparationReport {
         let mut refuted = false;
         let mut fingerprint = Vec::new();
         for (db, want) in dbs.iter().zip(&expected) {
-            let Ok(got) = rd_ra::eval::eval(e, db) else {
+            let Ok(got) = rd_translate::eval_ra(e, db) else {
                 refuted = true;
                 break;
             };
-            fingerprint.push((got.tuples.len() % 251) as u8);
-            if &got.tuples != want {
+            fingerprint.push((got.len() % 251) as u8);
+            if !got.iter().eq(want.iter()) {
                 refuted = true;
                 break;
             }
@@ -321,7 +321,7 @@ pub fn verify_lemma20() -> SeparationReport {
                             report.candidates += 1;
                             let mut refuted = false;
                             for (db, want) in dbs.iter().zip(&expected) {
-                                match rd_datalog::eval::eval_program(&p, db) {
+                                match rd_translate::eval_program(&p, db) {
                                     Ok(got) if got.iter().eq(want.iter()) => {}
                                     _ => {
                                         refuted = true;

@@ -7,6 +7,10 @@
 //! the product requires disjoint names (use `ρ`), and difference/union
 //! require identical schemas.
 //!
+//! This is a syntax crate — AST, parser, fragment checks, printer. RA
+//! expressions run by compiling through the TRC hub
+//! (`rd_translate::eval`).
+//!
 //! ```
 //! use rd_ra::{parse, RaExpr};
 //! use rd_core::{Catalog, TableSchema, Database, Relation};
@@ -23,12 +27,10 @@
 
 pub mod ast;
 pub mod check;
-pub mod eval;
 pub mod parser;
 pub mod printer;
 
 pub use ast::{Condition, JoinCond, RaExpr, RaTerm};
 pub use check::{is_ra_star, is_ra_star_antijoin};
-pub use eval::{eval, lower, lower_with};
 pub use parser::parse;
 pub use printer::{to_ascii, to_unicode};

@@ -13,9 +13,13 @@
 //! jcond   := IDENT OP IDENT { 'and' IDENT OP IDENT }
 //! renames := IDENT '->' IDENT {',' IDENT '->' IDENT}
 //! ```
+//!
+//! Operators may nest at most [`MAX_NESTING`] deep, counting each
+//! operator over its deepest operand and each parenthesized group;
+//! deeper input fails with [`CoreError::NestingTooDeep`].
 
 use crate::ast::{Condition, JoinCond, RaExpr, RaTerm};
-use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value};
+use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value, MAX_NESTING};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -156,9 +160,28 @@ fn lex(input: &str) -> CoreResult<Vec<Tok>> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Nesting levels currently open (parenthesized or operator
+    /// arguments, condition groups).
+    open: usize,
+}
+
+/// `depth` if it is within [`MAX_NESTING`], else the typed error.
+fn within_limit(depth: usize) -> CoreResult<usize> {
+    if depth > MAX_NESTING {
+        return Err(CoreError::NestingTooDeep { limit: MAX_NESTING });
+    }
+    Ok(depth)
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> CoreResult<T>) -> CoreResult<T> {
+        self.open = within_limit(self.open + 1)?;
+        let out = f(self);
+        self.open -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -193,63 +216,56 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> CoreResult<RaExpr> {
-        let mut left = self.term()?;
+    /// An expression and its operator depth (a table is depth 0, each
+    /// operator adds one over its deepest operand).
+    fn expr(&mut self) -> CoreResult<(RaExpr, usize)> {
+        let (mut left, mut depth) = self.term()?;
         loop {
-            match self.peek() {
-                Some(Tok::Minus) => {
-                    self.next()?;
-                    let right = self.term()?;
-                    left = RaExpr::diff(left, right);
-                }
-                Some(Tok::KwUnion) => {
-                    self.next()?;
-                    let right = self.term()?;
-                    left = RaExpr::union(left, right);
-                }
-                _ => return Ok(left),
-            }
+            let op = match self.peek() {
+                Some(Tok::Minus) => RaExpr::diff,
+                Some(Tok::KwUnion) => RaExpr::union,
+                _ => return Ok((left, depth)),
+            };
+            self.next()?;
+            let (right, d) = self.term()?;
+            left = op(left, right);
+            depth = within_limit(depth.max(d) + 1)?;
         }
     }
 
-    fn term(&mut self) -> CoreResult<RaExpr> {
-        let mut left = self.factor()?;
+    fn term(&mut self) -> CoreResult<(RaExpr, usize)> {
+        let (mut left, mut depth) = self.factor()?;
         loop {
-            match self.peek() {
-                Some(Tok::KwX) => {
-                    self.next()?;
-                    let right = self.factor()?;
-                    left = RaExpr::product(left, right);
-                }
-                Some(Tok::KwJoin) => {
-                    self.next()?;
-                    if self.peek() == Some(&Tok::LBracket) {
-                        let cond = self.join_cond()?;
-                        let right = self.factor()?;
-                        left = RaExpr::join(cond, left, right);
-                    } else {
-                        let right = self.factor()?;
-                        left = RaExpr::natural_join(left, right);
-                    }
-                }
-                Some(Tok::KwAntijoin) => {
-                    self.next()?;
-                    if self.peek() == Some(&Tok::LBracket) {
-                        let cond = self.join_cond()?;
-                        let right = self.factor()?;
-                        left = RaExpr::antijoin(cond, left, right);
-                    } else {
-                        let right = self.factor()?;
-                        left = RaExpr::antijoin(JoinCond(vec![]), left, right);
-                    }
-                }
-                _ => return Ok(left),
-            }
+            let op = match self.peek() {
+                Some(Tok::KwX | Tok::KwJoin | Tok::KwAntijoin) => self.next()?,
+                _ => return Ok((left, depth)),
+            };
+            let cond = match op != Tok::KwX && self.peek() == Some(&Tok::LBracket) {
+                true => Some(self.join_cond()?),
+                false => None,
+            };
+            let (right, d) = self.factor()?;
+            left = match (op, cond) {
+                (Tok::KwX, _) => RaExpr::product(left, right),
+                (Tok::KwJoin, Some(cond)) => RaExpr::join(cond, left, right),
+                (Tok::KwJoin, None) => RaExpr::natural_join(left, right),
+                (_, cond) => RaExpr::antijoin(cond.unwrap_or(JoinCond(vec![])), left, right),
+            };
+            depth = within_limit(depth.max(d) + 1)?;
         }
     }
 
-    fn factor(&mut self) -> CoreResult<RaExpr> {
-        match self.next()? {
+    /// The operand of a unary operator or a parenthesized group:
+    /// `( expr )`, one nesting level deeper.
+    fn group(&mut self) -> CoreResult<(RaExpr, usize)> {
+        self.expect(&Tok::LParen, "'('")?;
+        let inner = self.nested(Self::expr)?;
+        self.expect(&Tok::RParen, "')'")?;
+        Ok(inner)
+    }
+
+    fn factor(&mut self) -> CoreResult<(RaExpr, usize)> {
+        let (e, depth) = match self.next()? {
             Tok::KwPi => {
                 self.expect(&Tok::LBracket, "'['")?;
                 let mut attrs = vec![self.ident("attribute")?];
@@ -258,19 +274,15 @@ impl Parser {
                     attrs.push(self.ident("attribute")?);
                 }
                 self.expect(&Tok::RBracket, "']'")?;
-                self.expect(&Tok::LParen, "'('")?;
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(RaExpr::Project(attrs, Box::new(inner)))
+                let (inner, d) = self.group()?;
+                (RaExpr::Project(attrs, Box::new(inner)), d)
             }
             Tok::KwSigma => {
                 self.expect(&Tok::LBracket, "'['")?;
                 let cond = self.condition()?;
                 self.expect(&Tok::RBracket, "']'")?;
-                self.expect(&Tok::LParen, "'('")?;
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(RaExpr::select(cond, inner))
+                let (inner, d) = self.group()?;
+                (RaExpr::select(cond, inner), d)
             }
             Tok::KwRho => {
                 self.expect(&Tok::LBracket, "'['")?;
@@ -287,21 +299,21 @@ impl Parser {
                     }
                 }
                 self.expect(&Tok::RBracket, "']'")?;
-                self.expect(&Tok::LParen, "'('")?;
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(RaExpr::Rename(renames, Box::new(inner)))
+                let (inner, d) = self.group()?;
+                (RaExpr::Rename(renames, Box::new(inner)), d)
             }
             Tok::LParen => {
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(inner)
+                self.pos -= 1;
+                return self.group();
             }
-            Tok::Ident(name) => Ok(RaExpr::Table(name)),
-            other => Err(CoreError::Invalid(format!(
-                "expected RA factor, found {other:?}"
-            ))),
-        }
+            Tok::Ident(name) => return Ok((RaExpr::Table(name), 0)),
+            other => {
+                return Err(CoreError::Invalid(format!(
+                    "expected RA factor, found {other:?}"
+                )))
+            }
+        };
+        Ok((e, within_limit(depth + 1)?))
     }
 
     fn join_cond(&mut self) -> CoreResult<JoinCond> {
@@ -358,7 +370,7 @@ impl Parser {
     fn cmp(&mut self) -> CoreResult<Condition> {
         if self.peek() == Some(&Tok::LParen) {
             self.next()?;
-            let inner = self.condition()?;
+            let inner = self.nested(Self::condition)?;
             self.expect(&Tok::RParen, "')'")?;
             return Ok(inner);
         }
@@ -399,8 +411,9 @@ pub fn parse_unchecked(input: &str) -> CoreResult<RaExpr> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        open: 0,
     };
-    let e = p.expr()?;
+    let (e, _) = p.expr()?;
     if p.pos != p.toks.len() {
         return Err(CoreError::Invalid(format!(
             "trailing tokens after RA expression: {:?}",
@@ -468,5 +481,21 @@ mod tests {
         let cat = Catalog::from_schemas([TableSchema::new("Boat", ["bid", "color"])]).unwrap();
         let e = parse("sigma[color='red'](Boat)", &cat).unwrap();
         assert_eq!(to_ascii(&e), "sigma[color='red'](Boat)");
+    }
+
+    #[test]
+    fn nesting_is_limited_exactly() {
+        let too_deep = |r: CoreResult<RaExpr>| {
+            matches!(r, Err(CoreError::NestingTooDeep { limit: MAX_NESTING }))
+        };
+        let projections = |n: usize| format!("{}R{}", "pi[A](".repeat(n), ")".repeat(n));
+        let differences = |n: usize| format!("R{}", " - R".repeat(n));
+        let groups = |n: usize| format!("{}R{}", "(".repeat(n), ")".repeat(n));
+        let conditions = |n: usize| format!("sigma[{}A=1{}](R)", "(".repeat(n), ")".repeat(n));
+        for nest in [projections, differences, groups, conditions] {
+            assert!(parse_unchecked(&nest(MAX_NESTING)).is_ok());
+            assert!(too_deep(parse_unchecked(&nest(MAX_NESTING + 1))));
+            assert!(too_deep(parse_unchecked(&nest(20 * MAX_NESTING))));
+        }
     }
 }

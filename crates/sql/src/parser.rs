@@ -4,12 +4,14 @@
 //! Keywords are case-insensitive. The parser is deliberately *restrictive*:
 //! anything outside the paper's grammar (joins in `FROM`, `GROUP BY`,
 //! arithmetic, `NULL`, …) is a parse error, because fragment membership is
-//! the whole point of SQL\*.
+//! the whole point of SQL\*. Subqueries, `NOT` and parenthesized
+//! predicates may nest at most [`MAX_NESTING`] deep; deeper input fails
+//! with [`CoreError::NestingTooDeep`].
 
 use crate::ast::{
     Column, SelectCols, SelectQuery, SqlPredicate, SqlQuery, SqlTerm, SqlUnion, TableRef,
 };
-use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value};
+use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value, MAX_NESTING};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -158,9 +160,22 @@ fn lex(input: &str) -> CoreResult<Vec<Tok>> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Nesting levels currently open (subqueries, `NOT`, parentheses).
+    open: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> CoreResult<T>) -> CoreResult<T> {
+        if self.open == MAX_NESTING {
+            return Err(CoreError::NestingTooDeep { limit: MAX_NESTING });
+        }
+        self.open += 1;
+        let out = f(self);
+        self.open -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -231,7 +246,7 @@ impl Parser {
     fn query_maybe_paren(&mut self) -> CoreResult<SqlQuery> {
         if self.peek() == Some(&Tok::LParen) {
             self.pos += 1;
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&Tok::RParen, "')'")?;
             Ok(q)
         } else {
@@ -248,7 +263,7 @@ impl Parser {
             if self.toks.get(self.pos + 1) == Some(&Tok::Kw(Kw::Exists)) {
                 self.pos += 2;
                 self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
+                let q = self.nested(Self::query)?;
                 self.expect(&Tok::RParen, "')'")?;
                 return Ok(SqlQuery::SelectExists {
                     negated: true,
@@ -257,13 +272,13 @@ impl Parser {
             }
             self.pos += 1;
             self.expect(&Tok::LParen, "'(' after SELECT NOT")?;
-            let p = self.predicate()?;
+            let p = self.nested(Self::predicate)?;
             self.expect(&Tok::RParen, "')'")?;
             return Ok(SqlQuery::SelectNot(Box::new(p)));
         }
         if self.eat_kw(Kw::Exists) {
             self.expect(&Tok::LParen, "'('")?;
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&Tok::RParen, "')'")?;
             return Ok(SqlQuery::SelectExists {
                 negated: false,
@@ -355,7 +370,7 @@ impl Parser {
             if self.toks.get(self.pos + 1) == Some(&Tok::Kw(Kw::Exists)) {
                 self.pos += 2;
                 self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
+                let q = self.nested(Self::query)?;
                 self.expect(&Tok::RParen, "')'")?;
                 return Ok(SqlPredicate::Exists {
                     negated: true,
@@ -364,13 +379,13 @@ impl Parser {
             }
             self.pos += 1;
             self.expect(&Tok::LParen, "'(' after NOT")?;
-            let p = self.predicate()?;
+            let p = self.nested(Self::predicate)?;
             self.expect(&Tok::RParen, "')'")?;
             return Ok(SqlPredicate::Not(Box::new(p)));
         }
         if self.eat_kw(Kw::Exists) {
             self.expect(&Tok::LParen, "'('")?;
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&Tok::RParen, "')'")?;
             return Ok(SqlPredicate::Exists {
                 negated: false,
@@ -380,7 +395,7 @@ impl Parser {
         if self.peek() == Some(&Tok::LParen) {
             // Parenthesized predicate (needed for the OR extension).
             self.pos += 1;
-            let p = self.predicate()?;
+            let p = self.nested(Self::predicate)?;
             self.expect(&Tok::RParen, "')'")?;
             return Ok(p);
         }
@@ -390,7 +405,7 @@ impl Parser {
             if self.peek_kw(Kw::In) {
                 self.pos += 1;
                 self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
+                let q = self.nested(Self::query)?;
                 self.expect(&Tok::RParen, "')'")?;
                 return Ok(SqlPredicate::InSubquery {
                     negated: false,
@@ -401,7 +416,7 @@ impl Parser {
             if self.peek_kw(Kw::Not) && self.toks.get(self.pos + 1) == Some(&Tok::Kw(Kw::In)) {
                 self.pos += 2;
                 self.expect(&Tok::LParen, "'('")?;
-                let q = self.query()?;
+                let q = self.nested(Self::query)?;
                 self.expect(&Tok::RParen, "')'")?;
                 return Ok(SqlPredicate::InSubquery {
                     negated: true,
@@ -423,7 +438,7 @@ impl Parser {
             let all = self.peek_kw(Kw::All);
             self.pos += 1;
             self.expect(&Tok::LParen, "'('")?;
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&Tok::RParen, "')'")?;
             let col = match left {
                 SqlTerm::Col(c) => c,
@@ -479,6 +494,7 @@ pub fn parse_sql_unchecked(input: &str) -> CoreResult<SqlUnion> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        open: 0,
     };
     let u = p.union()?;
     if p.pos != p.toks.len() {
@@ -583,5 +599,23 @@ mod tests {
         assert!(parse_sql_unchecked("SELECT * FROM R JOIN S ON R.B = S.B").is_err());
         assert!(parse_sql_unchecked("SELECT COUNT(*) FROM R").is_err());
         assert!(parse_sql_unchecked("SELECT A FROM R WHERE A IS NULL").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_exactly() {
+        let nest = |n: usize| {
+            format!(
+                "SELECT DISTINCT R.A FROM R WHERE {}R.A = 1{}",
+                "NOT EXISTS (SELECT * FROM S WHERE ".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse_sql_unchecked(&nest(MAX_NESTING)).is_ok());
+        for n in [MAX_NESTING + 1, 10 * MAX_NESTING] {
+            assert!(matches!(
+                parse_sql_unchecked(&nest(n)),
+                Err(CoreError::NestingTooDeep { limit: MAX_NESTING })
+            ));
+        }
     }
 }

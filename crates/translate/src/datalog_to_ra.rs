@@ -254,11 +254,10 @@ fn rule_to_ra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_core::{Database, Relation, TableSchema};
-    use rd_datalog::eval::eval_program;
+    use crate::eval::eval_ra;
+    use rd_core::{Database, Relation, TableSchema, Tuple};
     use rd_datalog::parser::parse_program;
     use rd_ra::check::{is_ra_star, is_ra_star_antijoin};
-    use rd_ra::eval::eval as ra_eval;
 
     fn catalog() -> Catalog {
         Catalog::from_schemas([
@@ -285,20 +284,18 @@ mod tests {
         db
     }
 
-    fn agree_both_modes(program: &str) {
+    /// Translates `program` both ways and checks each RA expression
+    /// answers `expected` (computed by hand over [`db`]).
+    fn agree_both_modes<const N: usize>(program: &str, expected: &[[i64; N]]) {
         let p = parse_program(program, &catalog()).unwrap();
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let expected: Vec<Tuple> = expected.iter().map(|r| Tuple::new(*r)).collect();
         for (name, expr) in [
             ("basic", datalog_to_ra(&p, &catalog()).unwrap()),
             ("antijoin", datalog_to_ra_antijoin(&p, &catalog()).unwrap()),
         ] {
-            let ra_out = ra_eval(&expr, &db()).unwrap();
+            let got: Vec<Tuple> = eval_ra(&expr, &db()).unwrap().iter().cloned().collect();
             assert_eq!(
-                &ra_out.tuples,
-                &dl_out
-                    .iter()
-                    .cloned()
-                    .collect::<std::collections::BTreeSet<_>>(),
+                got, expected,
                 "{name} mode mismatch for program:\n{program}\nexpr: {expr}"
             );
         }
@@ -306,10 +303,10 @@ mod tests {
 
     #[test]
     fn conjunctive_rules_agree() {
-        agree_both_modes("Q(x) :- R(x, y), S(y).");
-        agree_both_modes("Q(x, y) :- R(x, y), y > 15.");
-        agree_both_modes("Q(x) :- R(x, 10).");
-        agree_both_modes("Q(x) :- R(x, _), T(x).");
+        agree_both_modes("Q(x) :- R(x, y), S(y).", &[[1], [2]]);
+        agree_both_modes("Q(x, y) :- R(x, y), y > 15.", &[[1, 20], [3, 30]]);
+        agree_both_modes("Q(x) :- R(x, 10).", &[[1], [2]]);
+        agree_both_modes("Q(x) :- R(x, _), T(x).", &[[1]]);
     }
 
     #[test]
@@ -324,12 +321,15 @@ mod tests {
         let anti = datalog_to_ra_antijoin(&p, &catalog()).unwrap();
         assert!(is_ra_star_antijoin(&anti));
         assert_eq!(anti.signature(), vec!["R", "S"]);
-        agree_both_modes("Q(x, y) :- R(x, y), not S(y).");
+        agree_both_modes("Q(x, y) :- R(x, y), not S(y).", &[[3, 30]]);
     }
 
     #[test]
     fn division_agrees() {
-        agree_both_modes("I(x) :- R(x, _), S(y), not R(x, y).\nQ(x) :- R(x, _), not I(x).");
+        agree_both_modes(
+            "I(x) :- R(x, _), S(y), not R(x, y).\nQ(x) :- R(x, _), not I(x).",
+            &[[1]],
+        );
     }
 
     #[test]
@@ -338,7 +338,9 @@ mod tests {
         let p = parse_program("Q(y) :- S(y), not R(1, y).", &catalog()).unwrap();
         let basic = datalog_to_ra(&p, &catalog()).unwrap();
         assert_eq!(basic.signature(), vec!["S", "R"]);
-        agree_both_modes("Q(y) :- S(y), not R(1, y).");
+        // R(1, 10) and R(1, 20) both exist: nothing survives.
+        agree_both_modes::<1>("Q(y) :- S(y), not R(1, y).", &[]);
+        agree_both_modes("Q(y) :- S(y), not R(2, y).", &[[20]]);
     }
 
     #[test]
@@ -350,8 +352,11 @@ mod tests {
             .unwrap();
         let p = parse_program("Q(x) :- R(x, x).", &catalog()).unwrap();
         let e = datalog_to_ra(&p, &catalog()).unwrap();
-        let out = ra_eval(&e, &d).unwrap();
-        assert_eq!(out.tuples.len(), 1);
+        let out = eval_ra(&e, &d).unwrap();
+        assert_eq!(
+            out.iter().cloned().collect::<Vec<_>>(),
+            [Tuple::new([7i64])]
+        );
     }
 
     #[test]
@@ -364,6 +369,9 @@ mod tests {
     #[test]
     fn builtin_only_connection_example12() {
         // Q1(x) :- R(x), S(y), x > y  over unary R — use T(A) as unary here.
-        agree_both_modes("Q(x) :- T(x), S(y), x > y.");
+        // No T value (1, 9) exceeds an S value (10, 20); every one is
+        // below 20.
+        agree_both_modes::<1>("Q(x) :- T(x), S(y), x > y.", &[]);
+        agree_both_modes("Q(x) :- T(x), S(y), x < y.", &[[1], [9]]);
     }
 }

@@ -46,12 +46,18 @@ impl FourWay {
             .iter()
             .cloned()
             .collect();
-        let dl = rd_datalog::eval::eval_program(&self.datalog, db)?
+        let dl = crate::eval::eval_program(&self.datalog, db)?
             .iter()
             .cloned()
             .collect();
-        let ra = rd_ra::eval::eval(&self.ra, db)?.tuples;
-        let raa = rd_ra::eval::eval(&self.ra_antijoin, db)?.tuples;
+        let ra = crate::eval::eval_ra(&self.ra, db)?
+            .iter()
+            .cloned()
+            .collect();
+        let raa = crate::eval::eval_ra(&self.ra_antijoin, db)?
+            .iter()
+            .cloned()
+            .collect();
         let sql = rd_sql::translate::eval_sql(&self.sql, db)?
             .iter()
             .cloned()

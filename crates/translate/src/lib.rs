@@ -16,15 +16,21 @@
 //! the other languages by composing these maps, and [`differential`]
 //! provides the Theorem 6 checker that evaluates all four translations on
 //! (random or exhaustive) databases and compares results.
+//!
+//! The hub is also how RA and Datalog *run*: [`eval`](mod@eval) compiles
+//! every RA expression and every Datalog program into TRC plans, with
+//! unions and shared IDBs as materialized views.
 
 pub mod datalog_to_ra;
 pub mod datalog_to_trc;
 pub mod differential;
+pub mod eval;
 pub mod ra_to_datalog;
 pub mod trc_to_datalog;
 
 pub use datalog_to_ra::{datalog_to_ra, datalog_to_ra_antijoin};
 pub use datalog_to_trc::{datalog_to_trc, datalog_to_trc_as};
 pub use differential::{check_equivalent_results, FourWay};
+pub use eval::{eval_program, eval_ra, lower_program, lower_ra};
 pub use ra_to_datalog::ra_to_datalog;
 pub use trc_to_datalog::trc_to_datalog;

@@ -1,13 +1,29 @@
 //! RA\* → Datalog\* (Appendix C, proof part 1) plus the antijoin case of
-//! Theorem 21 (part 1).
+//! Theorem 21 (part 1), extended to all of RA.
 //!
 //! SPJR (select/project/join/rename) sub-expressions compile into a single
 //! rule body; each difference or antijoin introduces one fresh IDB for its
-//! right operand, exactly mirroring the paper's case analysis. The
-//! translation is pattern-preserving: every base-table leaf of the RA
-//! expression becomes exactly one EDB atom.
+//! right operand, exactly mirroring the paper's case analysis. On RA\*⊲
+//! the translation is pattern-preserving: every base-table leaf of the RA
+//! expression becomes exactly one EDB atom, and the program is Datalog\*.
+//!
+//! The operators outside RA\*⊲ are unions of non-disjunctive patterns
+//! (§5), and Datalog states a union by repeating a head:
+//!
+//! * `l ∪ r` becomes one IDB with a rule per operand (nested unions
+//!   flatten into the same IDB; a union at the root gives the query
+//!   predicate several rules);
+//! * `σ[c₁ ∨ c₂](e)` becomes one IDB with a rule per disjunct, each over
+//!   `e` — materialized once as its own IDB unless it is a single atom;
+//!   a disjunct that is itself disjunctive nests another such IDB;
+//! * an antijoin `l ⊲θ r` with a non-equality in `θ` becomes
+//!   `J(l̄) :- l, r, θ` and `l, not J(l̄)`, with `l` likewise materialized
+//!   once unless it is a single atom.
+//!
+//! Each IDB so introduced is used once or has several rules, so every
+//! step stays linear in the expression.
 
-use rd_core::{Catalog, CoreError, CoreResult};
+use rd_core::{Catalog, CmpOp, CoreError, CoreResult};
 use rd_datalog::ast::{Atom, BuiltIn, DlProgram, DlTerm, Literal, Rule};
 use rd_ra::ast::{Condition, RaExpr, RaTerm};
 
@@ -21,6 +37,7 @@ struct Compiler<'a> {
 
 /// A compiled sub-expression: body literals plus the mapping from the
 /// expression's schema attributes to Datalog variables.
+#[derive(Clone)]
 struct Body {
     literals: Vec<Literal>,
     /// (attribute name, variable) in schema order.
@@ -43,9 +60,53 @@ impl<'a> Compiler<'a> {
         format!("v{}", self.next_var)
     }
 
+    /// A fresh IDB name, never one of the catalog's tables (an IDB
+    /// would shadow it).
     fn fresh_idb(&mut self) -> String {
-        self.next_idb += 1;
-        format!("I{}", self.next_idb)
+        loop {
+            self.next_idb += 1;
+            let name = format!("I{}", self.next_idb);
+            if self.catalog.table(&name).is_none() {
+                return name;
+            }
+        }
+    }
+
+    /// The head variables of `body`'s attributes, in schema order.
+    fn head(body: &Body) -> Vec<DlTerm> {
+        body.attr_vars
+            .iter()
+            .map(|(_, v)| DlTerm::var(v.clone()))
+            .collect()
+    }
+
+    /// `body` as a single atom: itself if it is one, else a fresh IDB
+    /// holding it (used where the operand is read twice).
+    fn shareable(&mut self, body: Body) -> Body {
+        if let [Literal::Pos(_)] = body.literals.as_slice() {
+            return body;
+        }
+        let idb = self.fresh_idb();
+        let head = Atom::new(idb, Self::head(&body));
+        self.rules.push(Rule::new(head.clone(), body.literals));
+        Body {
+            literals: vec![Literal::Pos(head)],
+            attr_vars: body.attr_vars,
+        }
+    }
+
+    /// Emits one rule headed `idb` per operand of the union tree `e`
+    /// (nested unions flatten); returns the union's attributes.
+    fn union_rules(&mut self, idb: &str, e: &RaExpr) -> CoreResult<Vec<String>> {
+        if let RaExpr::Union(l, r) = e {
+            let attrs = self.union_rules(idb, l)?;
+            self.union_rules(idb, r)?;
+            return Ok(attrs);
+        }
+        let body = self.compile(e)?;
+        let head = Atom::new(idb, Self::head(&body));
+        self.rules.push(Rule::new(head, body.literals));
+        Ok(body.attr_vars.into_iter().map(|(a, _)| a).collect())
     }
 
     /// Compiles `e` into a conjunctive body (emitting auxiliary rules for
@@ -80,11 +141,8 @@ impl<'a> Compiler<'a> {
                 })
             }
             RaExpr::Select(cond, inner) => {
-                let mut body = self.compile(inner)?;
-                let mut builtins = Vec::new();
-                self.condition(cond, &body, &mut builtins)?;
-                body.literals.extend(builtins.into_iter().map(Literal::Cmp));
-                Ok(body)
+                let body = self.compile(inner)?;
+                self.select(cond, body)
             }
             RaExpr::Rename(renames, inner) => {
                 let mut body = self.compile(inner)?;
@@ -167,6 +225,29 @@ impl<'a> Compiler<'a> {
                     attr_vars: lb.attr_vars,
                 })
             }
+            RaExpr::Antijoin(cond, l, r) if cond.0.iter().any(|(_, op, _)| *op != CmpOp::Eq) => {
+                // J(l̄) :- l, r, θ  and  l, not J(l̄).
+                let lb = self.compile(l)?;
+                let lb = self.shareable(lb);
+                let rb = self.compile(r)?;
+                let mut literals = lb.literals.clone();
+                literals.extend(rb.literals.iter().cloned());
+                for (la, op, ra) in &cond.0 {
+                    literals.push(Literal::Cmp(BuiltIn::new(
+                        DlTerm::var(lb.var_of(la)?),
+                        *op,
+                        DlTerm::var(rb.var_of(ra)?),
+                    )));
+                }
+                let j = Atom::new(self.fresh_idb(), Self::head(&lb));
+                self.rules.push(Rule::new(j.clone(), literals));
+                let mut literals = lb.literals;
+                literals.push(Literal::Neg(j));
+                Ok(Body {
+                    literals,
+                    attr_vars: lb.attr_vars,
+                })
+            }
             RaExpr::Antijoin(cond, l, r) => {
                 // Theorem 21, case 6.
                 let lb = self.compile(l)?;
@@ -192,11 +273,43 @@ impl<'a> Compiler<'a> {
                     attr_vars: lb.attr_vars,
                 })
             }
-            RaExpr::Union(..) => Err(CoreError::Invalid(
-                "union is outside RA*; translate branches separately (Datalog expresses \
-                 disjunction by repeating the head IDB)"
-                    .into(),
-            )),
+            RaExpr::Union(..) => {
+                let idb = self.fresh_idb();
+                let attrs = self.union_rules(&idb, e)?;
+                let attr_vars: Vec<(String, String)> =
+                    attrs.into_iter().map(|a| (a, self.fresh_var())).collect();
+                let terms = attr_vars.iter().map(|(_, v)| DlTerm::var(v.clone()));
+                Ok(Body {
+                    literals: vec![Literal::Pos(Atom::new(idb, terms))],
+                    attr_vars,
+                })
+            }
+        }
+    }
+
+    /// `σ[cond]` over `body`: comparisons become built-ins; a
+    /// disjunction becomes one IDB with a rule per disjunct over the
+    /// input, materialized once if it is more than one atom.
+    fn select(&mut self, cond: &Condition, mut body: Body) -> CoreResult<Body> {
+        match cond {
+            Condition::Cmp(l, op, r) => {
+                let builtin = BuiltIn::new(self.term(l, &body)?, *op, self.term(r, &body)?);
+                body.literals.push(Literal::Cmp(builtin));
+                Ok(body)
+            }
+            Condition::And(cs) => cs.iter().try_fold(body, |body, c| self.select(c, body)),
+            Condition::Or(cs) => {
+                let input = self.shareable(body);
+                let head = Atom::new(self.fresh_idb(), Self::head(&input));
+                for c in cs {
+                    let disjunct = self.select(c, input.clone())?;
+                    self.rules.push(Rule::new(head.clone(), disjunct.literals));
+                }
+                Ok(Body {
+                    literals: vec![Literal::Pos(head)],
+                    attr_vars: input.attr_vars,
+                })
+            }
         }
     }
 
@@ -269,31 +382,6 @@ impl<'a> Compiler<'a> {
         Ok(Literal::Neg(Atom::new(idb, call_terms)))
     }
 
-    fn condition(
-        &mut self,
-        cond: &Condition,
-        body: &Body,
-        out: &mut Vec<BuiltIn>,
-    ) -> CoreResult<()> {
-        match cond {
-            Condition::Cmp(l, op, r) => {
-                let lt = self.term(l, body)?;
-                let rt = self.term(r, body)?;
-                out.push(BuiltIn::new(lt, *op, rt));
-                Ok(())
-            }
-            Condition::And(cs) => {
-                for c in cs {
-                    self.condition(c, body, out)?;
-                }
-                Ok(())
-            }
-            Condition::Or(_) => Err(CoreError::Invalid(
-                "disjunctive selection is outside RA* (Definition 2)".into(),
-            )),
-        }
-    }
-
     fn term(&self, t: &RaTerm, body: &Body) -> CoreResult<DlTerm> {
         Ok(match t {
             RaTerm::Attr(a) => DlTerm::var(body.var_of(a)?),
@@ -302,35 +390,32 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Translates an RA\* (or RA\*⊲) expression into a Datalog\* program with
-/// query predicate `Q`.
+/// Translates an RA expression into a Datalog¬ program with query
+/// predicate `Q` (or the first of `Q1`, `Q2`, … that names no table): a
+/// Datalog\* program for RA\* and RA\*⊲ expressions, one whose IDBs may
+/// have several rules or uses otherwise (see the module docs).
 pub fn ra_to_datalog(e: &RaExpr, catalog: &Catalog) -> CoreResult<DlProgram> {
+    e.schema(catalog)?;
     let mut c = Compiler {
         catalog,
         rules: Vec::new(),
         next_idb: 0,
         next_var: 0,
     };
-    let body = c.compile(e)?;
-    let head_terms: Vec<DlTerm> = body
-        .attr_vars
-        .iter()
-        .map(|(_, v)| DlTerm::var(v.clone()))
-        .collect();
-    let mut rules = c.rules;
-    rules.push(Rule::new(Atom::new("Q", head_terms), body.literals));
-    let program = DlProgram::new(rules);
-    rd_datalog::check::check_program(&program, catalog)?;
-    Ok(program)
+    let query = std::iter::once("Q".to_string())
+        .chain((1..).map(|i| format!("Q{i}")))
+        .find(|q| catalog.table(q).is_none())
+        .expect("some name is free");
+    c.union_rules(&query, e)?;
+    Ok(DlProgram::new(c.rules))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_core::{Database, Relation, TableSchema};
+    use crate::eval::{eval_program, eval_ra};
+    use rd_core::{Database, Relation, TableSchema, Tuple};
     use rd_datalog::check::is_datalog_star;
-    use rd_datalog::eval::eval_program;
-    use rd_ra::eval::eval as ra_eval;
     use rd_ra::parser::parse as ra_parse;
 
     fn catalog() -> Catalog {
@@ -358,30 +443,48 @@ mod tests {
         db
     }
 
-    fn agree(ra_text: &str) {
+    fn tuples<const N: usize>(rows: &[[i64; N]]) -> Vec<Tuple> {
+        rows.iter().map(|r| Tuple::new(*r)).collect()
+    }
+
+    /// Translates `ra_text` and checks that the expression and its
+    /// program both answer `expected` (computed by hand) over `d`;
+    /// returns the program.
+    fn answers_on<const N: usize>(ra_text: &str, d: &Database, expected: &[[i64; N]]) -> DlProgram {
         let e = ra_parse(ra_text, &catalog()).unwrap();
         let p = ra_to_datalog(&e, &catalog()).unwrap();
-        assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
-        let ra_out = ra_eval(&e, &db()).unwrap();
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let ra_out: Vec<Tuple> = eval_ra(&e, d).unwrap().iter().cloned().collect();
+        assert_eq!(ra_out, tuples(expected), "RA answer for {ra_text}");
+        let dl_out: Vec<Tuple> = eval_program(&p, d).unwrap().iter().cloned().collect();
         assert_eq!(
-            &ra_out.tuples,
-            &dl_out
-                .iter()
-                .cloned()
-                .collect::<std::collections::BTreeSet<_>>(),
-            "mismatch for {ra_text}\nprogram:\n{p}"
+            dl_out,
+            tuples(expected),
+            "Datalog answer for {ra_text}\nprogram:\n{p}"
         );
+        p
+    }
+
+    /// [`answers_on`] the fixed instance, for an RA\*⊲ expression: the
+    /// program must be Datalog\*.
+    fn agree<const N: usize>(ra_text: &str, expected: &[[i64; N]]) {
+        let p = answers_on(ra_text, &db(), expected);
+        assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
     }
 
     #[test]
     fn spj_expressions_agree() {
-        agree("pi[A](R)");
-        agree("sigma[B>15](R)");
-        agree("pi[A](sigma[B=10](R))");
-        agree("R join[B=B2] rho[B->B2](S)");
-        agree("pi[A](R) x rho[B->C](S)");
-        agree("R join S");
+        agree("pi[A](R)", &[[1], [2], [3]]);
+        agree("sigma[B>15](R)", &[[1, 20], [3, 30]]);
+        agree("pi[A](sigma[B=10](R))", &[[1], [2]]);
+        agree(
+            "R join[B=B2] rho[B->B2](S)",
+            &[[1, 10, 10], [1, 20, 20], [2, 10, 10]],
+        );
+        agree(
+            "pi[A](R) x rho[B->C](S)",
+            &[[1, 10], [1, 20], [2, 10], [2, 20], [3, 10], [3, 20]],
+        );
+        agree("R join S", &[[1, 10], [1, 20], [2, 10]]);
     }
 
     #[test]
@@ -390,7 +493,7 @@ mod tests {
         let p = ra_to_datalog(&e, &catalog()).unwrap();
         // The S reference must appear as a single negated EDB atom.
         assert_eq!(p.signature(), vec!["R", "S"]);
-        agree("pi[B](R) - S");
+        agree("pi[B](R) - S", &[[30]]);
     }
 
     #[test]
@@ -402,7 +505,7 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-        agree(text);
+        agree(text, &[[1]]);
     }
 
     #[test]
@@ -412,15 +515,7 @@ mod tests {
         let p = ra_to_datalog(&e, &catalog()).unwrap();
         assert!(is_datalog_star(&p));
         assert_eq!(p.signature(), vec!["R", "S"]);
-        let ra_out = ra_eval(&e, &db()).unwrap();
-        let dl_out = eval_program(&p, &db()).unwrap();
-        assert_eq!(
-            &ra_out.tuples,
-            &dl_out
-                .iter()
-                .cloned()
-                .collect::<std::collections::BTreeSet<_>>()
-        );
+        agree(text, &[[3, 30]]);
     }
 
     #[test]
@@ -428,24 +523,12 @@ mod tests {
         // `A = B and B = B` removes an R row only when A = B and B is in
         // S; negating `S(A)` alone would also remove (10, 20).
         let text = "R antijoin[A=B and B=B] S";
-        let e = ra_parse(text, &catalog()).unwrap();
-        let p = ra_to_datalog(&e, &catalog()).unwrap();
-        assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
         let mut d = db();
         let r = d.relation_mut("R").unwrap();
         r.insert_values([10i64, 20]).unwrap();
         r.insert_values([10i64, 10]).unwrap();
-        let ra_out = ra_eval(&e, &d).unwrap();
-        let dl_out = eval_program(&p, &d).unwrap();
-        assert_eq!(ra_out.tuples.len(), 5, "only (10, 10) goes");
-        assert_eq!(
-            &ra_out.tuples,
-            &dl_out
-                .iter()
-                .cloned()
-                .collect::<std::collections::BTreeSet<_>>(),
-            "program:\n{p}"
-        );
+        let p = answers_on(text, &d, &[[1, 10], [1, 20], [2, 10], [3, 30], [10, 20]]);
+        assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
     }
 
     #[test]
@@ -457,18 +540,108 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-        agree(text);
+        agree(text, &[[1]]);
+    }
+
+    /// The number of rules per IDB of `p`, by name.
+    fn rule_counts(p: &DlProgram) -> Vec<(String, usize)> {
+        let mut counts: Vec<(String, usize)> = Vec::new();
+        for rule in &p.rules {
+            match counts.iter_mut().find(|(name, _)| *name == rule.head.pred) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((rule.head.pred.clone(), 1)),
+            }
+        }
+        counts
     }
 
     #[test]
-    fn union_rejected() {
-        let e = ra_parse("pi[B](R) union S", &catalog()).unwrap();
-        assert!(ra_to_datalog(&e, &catalog()).is_err());
+    fn union_becomes_one_idb_with_a_rule_per_operand() {
+        // At the root, the query predicate itself gets both rules.
+        let p = answers_on("pi[B](R) union S", &db(), &[[10], [20], [30]]);
+        assert_eq!(rule_counts(&p), [("Q".to_string(), 2)], "{p}");
+        // Nested unions flatten into one IDB, here under a difference.
+        let p = answers_on(
+            "pi[B](R) - (S union (pi[B](sigma[A=2](R)) union pi[B](sigma[A=9](R))))",
+            &db(),
+            &[[30]],
+        );
+        assert_eq!(
+            rule_counts(&p),
+            [("I1".to_string(), 3), ("Q".to_string(), 1)],
+            "{p}"
+        );
     }
 
     #[test]
-    fn disjunctive_selection_rejected() {
-        let e = ra_parse("sigma[A=1 or B=2](R)", &catalog()).unwrap();
-        assert!(ra_to_datalog(&e, &catalog()).is_err());
+    fn disjunctive_selection_becomes_one_rule_per_disjunct() {
+        // Over a single atom, each disjunct reads it directly.
+        let p = answers_on("sigma[A=1 or B=30](R)", &db(), &[[1, 10], [1, 20], [3, 30]]);
+        assert_eq!(
+            rule_counts(&p),
+            [("I1".to_string(), 2), ("Q".to_string(), 1)],
+            "{p}"
+        );
+        // A conjunction of disjunctions is a chain; the input of the
+        // second is the first's IDB, a single atom again.
+        let p = answers_on(
+            "sigma[(A=1 or A=2) and (B=10 or B=30)](R)",
+            &db(),
+            &[[1, 10], [2, 10]],
+        );
+        assert_eq!(
+            rule_counts(&p),
+            [
+                ("I1".to_string(), 2),
+                ("I2".to_string(), 2),
+                ("Q".to_string(), 1)
+            ],
+            "{p}"
+        );
+        // A compound input is materialized once for both disjuncts.
+        let p = answers_on("sigma[A=1 or B=30](R join S)", &db(), &[[1, 10], [1, 20]]);
+        assert_eq!(
+            rule_counts(&p),
+            [
+                ("I1".to_string(), 1),
+                ("I2".to_string(), 2),
+                ("Q".to_string(), 1)
+            ],
+            "{p}"
+        );
+    }
+
+    #[test]
+    fn non_equality_antijoin_negates_a_join_of_both_operands() {
+        // (1, 10) and (2, 10) have a larger S.B (20); (1, 20), (3, 30)
+        // do not.
+        let p = answers_on("R antijoin[B<B] S", &db(), &[[1, 20], [3, 30]]);
+        assert!(
+            is_datalog_star(&p),
+            "a single-atom left is read twice:\n{p}"
+        );
+        // A compound left is materialized once, for J and for the body.
+        let p = answers_on("sigma[A>1](R) antijoin[B<B] S", &db(), &[[3, 30]]);
+        assert_eq!(
+            rule_counts(&p),
+            [
+                ("I1".to_string(), 1),
+                ("I2".to_string(), 1),
+                ("Q".to_string(), 1)
+            ],
+            "{p}"
+        );
+        assert!(!is_datalog_star(&p), "the materialized left is used twice");
+    }
+
+    #[test]
+    fn fresh_names_avoid_tables() {
+        let catalog =
+            Catalog::from_schemas([TableSchema::new("Q", ["A"]), TableSchema::new("I1", ["A"])])
+                .unwrap();
+        let e = ra_parse("Q union (I1 - Q)", &catalog).unwrap();
+        let p = ra_to_datalog(&e, &catalog).unwrap();
+        assert_eq!(p.query, "Q1");
+        assert!(p.idbs().iter().all(|i| catalog.table(i).is_none()), "{p}");
     }
 }

@@ -473,9 +473,9 @@ fn wildcardize(rule: &mut Rule) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_core::{Database, Relation, TableSchema};
+    use crate::eval::eval_program;
+    use rd_core::{Database, Relation, TableSchema, Tuple};
     use rd_datalog::check::is_datalog_star;
-    use rd_datalog::eval::eval_program;
     use rd_trc::eval::{eval_query, eval_sentence};
     use rd_trc::parser::parse_query;
 
@@ -506,30 +506,38 @@ mod tests {
         db
     }
 
-    fn agree(trc_text: &str) -> DlProgram {
+    /// Translates `trc_text` and checks that the query and its program
+    /// both answer `expected` (computed by hand over [`db`]).
+    fn agree(trc_text: &str, expected: &[i64]) -> DlProgram {
         let q = parse_query(trc_text, &catalog()).unwrap();
         let p = trc_to_datalog(&q, &catalog()).unwrap();
         assert!(is_datalog_star(&p), "not Datalog*:\n{p}");
-        let trc_out = eval_query(&q, &db()).unwrap();
-        let dl_out = eval_program(&p, &db()).unwrap();
+        let expected: Vec<Tuple> = expected.iter().map(|&a| Tuple::new([a])).collect();
+        let trc_out: Vec<Tuple> = eval_query(&q, &db()).unwrap().iter().cloned().collect();
+        assert_eq!(trc_out, expected, "TRC answer for {trc_text}");
+        let dl_out: Vec<Tuple> = eval_program(&p, &db()).unwrap().iter().cloned().collect();
         assert_eq!(
-            trc_out.tuples(),
-            dl_out.tuples(),
-            "mismatch for {trc_text}\nprogram:\n{p}"
+            dl_out, expected,
+            "Datalog answer for {trc_text}\nprogram:\n{p}"
         );
         p
     }
 
     #[test]
     fn conjunctive_query() {
-        let p = agree("{ q(A) | exists r in R, s in S [ q.A = r.A and r.B = s.B ] }");
+        let p = agree(
+            "{ q(A) | exists r in R, s in S [ q.A = r.A and r.B = s.B ] }",
+            &[1, 2],
+        );
         assert_eq!(p.signature(), vec!["R", "S"]);
     }
 
     #[test]
     fn single_negation_pattern_preserved() {
-        let p =
-            agree("{ q(A) | exists r in R [ q.A = r.A and not (exists s in S [ s.B = r.B ]) ] }");
+        let p = agree(
+            "{ q(A) | exists r in R [ q.A = r.A and not (exists s in S [ s.B = r.B ]) ] }",
+            &[3],
+        );
         let mut sig = p.signature();
         sig.sort();
         assert_eq!(sig, vec!["R", "S"]);
@@ -542,6 +550,7 @@ mod tests {
         let p = agree(
             "{ q(A) | exists r in R [ q.A = r.A and not (exists s in S [ \
              not (exists r2 in R [ r2.B = s.B and r2.A = r.A ]) ]) ] }",
+            &[1],
         );
         assert_eq!(p.signature().len(), 4); // R, S, R + one repair R
         assert_eq!(
@@ -554,17 +563,28 @@ mod tests {
     #[test]
     fn builtin_crossing_triggers_case_ii_repair() {
         // Example 12: values of T with no smaller value in S.
-        let p =
-            agree("{ q(A) | exists t in T [ q.A = t.A and not (exists s in S [ s.B < t.A ]) ] }");
+        let p = agree(
+            "{ q(A) | exists t in T [ q.A = t.A and not (exists s in S [ s.B < t.A ]) ] }",
+            &[1, 9],
+        );
         // T, S plus one repair T (the paper's Q1(x) :- R(x), S(y), x > y).
         assert_eq!(p.signature().iter().filter(|t| *t == "T").count(), 2);
     }
 
     #[test]
     fn selection_constants_and_theta_joins() {
-        agree("{ q(A) | exists r in R [ q.A = r.A and r.B = 10 ] }");
-        agree("{ q(A) | exists r in R, s in S [ q.A = r.A and r.B > s.B ] }");
-        agree("{ q(A) | exists r in R [ q.A = r.A and r.B != 10 and r.B < 25 ] }");
+        agree(
+            "{ q(A) | exists r in R [ q.A = r.A and r.B = 10 ] }",
+            &[1, 2],
+        );
+        agree(
+            "{ q(A) | exists r in R, s in S [ q.A = r.A and r.B > s.B ] }",
+            &[1, 3],
+        );
+        agree(
+            "{ q(A) | exists r in R [ q.A = r.A and r.B != 10 and r.B < 25 ] }",
+            &[1],
+        );
     }
 
     #[test]
@@ -596,6 +616,7 @@ mod tests {
         // partition.
         let p = agree(
             "{ q(A) | exists r in R [ q.A = r.A and not (not (exists t in T [ t.A = r.A ])) ] }",
+            &[1],
         );
         assert!(p.rules.len() >= 3);
     }
@@ -606,25 +627,29 @@ mod tests {
             "{ q(A) | exists r in R [ q.A = r.A and \
              not (exists s in S [ s.B = r.B ]) and \
              not (exists t in T [ t.A = r.A ]) ] }",
+            &[3],
         );
     }
 
     #[test]
     fn local_equality_chains_unify() {
         let mut d = db();
-        d.relation_mut("R")
-            .unwrap()
-            .insert_values([5i64, 5])
-            .unwrap();
+        let r = d.relation_mut("R").unwrap();
+        r.insert_values([5i64, 5]).unwrap();
+        r.insert_values([10i64, 10]).unwrap();
         let q = parse_query(
             "{ q(A) | exists r in R, s in S [ q.A = r.A and r.A = r.B and r.B = s.B ] }",
             &catalog(),
         )
         .unwrap();
         let p = trc_to_datalog(&q, &catalog()).unwrap();
-        let a = eval_query(&q, &d).unwrap();
-        let b = eval_program(&p, &d).unwrap();
-        assert_eq!(a.tuples(), b.tuples());
+        // Only (10, 10) has A = B with B in S.
+        for out in [eval_query(&q, &d).unwrap(), eval_program(&p, &d).unwrap()] {
+            assert_eq!(
+                out.iter().cloned().collect::<Vec<_>>(),
+                [Tuple::new([10i64])]
+            );
+        }
     }
 
     #[test]

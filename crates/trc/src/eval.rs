@@ -83,7 +83,6 @@ impl<'d> Compiler<'d> {
     fn shape(&self) -> EnvShape {
         EnvShape {
             tuple_slots: self.slot_schemas.len(),
-            value_slots: 0,
             indexes: self.n_indexes,
         }
     }
@@ -301,11 +300,9 @@ impl<'d> Compiler<'d> {
             };
             scans.push(Scan {
                 rel: b.table.clone(),
-                tuple_slot: Some(slots[bi]),
+                tuple_slot: slots[bi],
                 key_cols,
                 key_terms,
-                bind_cols: Vec::new(),
-                check_cols: Vec::new(),
                 index_id,
                 filters,
             });
@@ -1034,7 +1031,7 @@ mod tests {
                         walk(g, out);
                     }
                 }
-                exec::Formula::Pred(_) | exec::Formula::NegProbe { .. } => {}
+                exec::Formula::Pred(_) => {}
             }
         }
         for f in b.pre.iter().chain(b.scans.iter().flat_map(|s| &s.filters)) {
@@ -1070,7 +1067,7 @@ mod tests {
             exec::Formula::Or(fs) => fs.iter_mut().for_each(merge_components),
             exec::Formula::Not(g) => merge_components(g),
             exec::Formula::Exists(b) => merge_block(b),
-            exec::Formula::Pred(_) | exec::Formula::NegProbe { .. } => {}
+            exec::Formula::Pred(_) => {}
         }
     }
 

@@ -19,12 +19,16 @@
 //! OP       := '=' | '!=' | '<>' | '<' | '<=' | '>' | '>='
 //! ```
 //!
+//! `not`, `exists` and parenthesized formulas may nest at most
+//! [`MAX_NESTING`] deep; deeper input fails with
+//! [`CoreError::NestingTooDeep`].
+//!
 //! The catalog is consulted only to *resolve unqualified output attributes*
 //! — e.g. `{ q(A) | … }` names its columns directly — and is re-validated
 //! by [`crate::check`]; parsing itself is schema-independent.
 
 use crate::ast::{Binding, Formula, OutputSpec, Predicate, Term, TrcQuery, TrcUnion};
-use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value};
+use rd_core::{Catalog, CmpOp, CoreError, CoreResult, Value, MAX_NESTING};
 
 /// Tokens of the surface syntax.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,9 +176,22 @@ fn lex(input: &str) -> CoreResult<Vec<Tok>> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Nesting levels currently open (`not`, `exists`, parentheses).
+    open: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> CoreResult<T>) -> CoreResult<T> {
+        if self.open == MAX_NESTING {
+            return Err(CoreError::NestingTooDeep { limit: MAX_NESTING });
+        }
+        self.open += 1;
+        let out = f(self);
+        self.open -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
@@ -266,7 +283,7 @@ impl Parser {
             Some(Tok::KwNot) => {
                 self.next()?;
                 self.expect(&Tok::LParen, "'(' after not")?;
-                let inner = self.parse_formula()?;
+                let inner = self.nested(Self::parse_formula)?;
                 self.expect(&Tok::RParen, "')' closing not")?;
                 Ok(Formula::not(inner))
             }
@@ -282,14 +299,14 @@ impl Parser {
                 let body = if self.peek() == Some(&Tok::RBracket) {
                     Formula::truth()
                 } else {
-                    self.parse_formula()?
+                    self.nested(Self::parse_formula)?
                 };
                 self.expect(&Tok::RBracket, "']' closing exists body")?;
                 Ok(Formula::exists(bindings, body))
             }
             Some(Tok::LParen) => {
                 self.next()?;
-                let inner = self.parse_formula()?;
+                let inner = self.nested(Self::parse_formula)?;
                 self.expect(&Tok::RParen, "')'")?;
                 Ok(inner)
             }
@@ -354,6 +371,7 @@ pub fn parse_query(input: &str, catalog: &Catalog) -> CoreResult<TrcQuery> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        open: 0,
     };
     let q = p.parse_query()?;
     p.finish()?;
@@ -366,6 +384,7 @@ pub fn parse_union(input: &str, catalog: &Catalog) -> CoreResult<TrcUnion> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        open: 0,
     };
     let u = p.parse_union()?;
     p.finish()?;
@@ -381,6 +400,7 @@ pub fn parse_query_unchecked(input: &str) -> CoreResult<TrcQuery> {
     let mut p = Parser {
         toks: lex(input)?,
         pos: 0,
+        open: 0,
     };
     let q = p.parse_query()?;
     p.finish()?;
@@ -482,6 +502,26 @@ mod tests {
         for op in ["=", "!=", "<>", "<", "<=", ">", ">="] {
             let q = parse_query(&format!("exists r in R [ r.A {op} 1 ]"), &cat).unwrap();
             assert!(!q.signature().is_empty());
+        }
+    }
+
+    #[test]
+    fn nesting_is_limited_exactly() {
+        // The root `exists` is one level; each `not`, `exists` and
+        // parenthesized group below it another.
+        let nest = |n: usize| {
+            format!(
+                "{{ q(A) | exists r in R [ q.A = r.A and {}r.A = 1{} ] }}",
+                "not (".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        assert!(parse_query_unchecked(&nest(MAX_NESTING - 1)).is_ok());
+        for n in [MAX_NESTING, 10 * MAX_NESTING] {
+            assert!(matches!(
+                parse_query_unchecked(&nest(n)),
+                Err(CoreError::NestingTooDeep { limit: MAX_NESTING })
+            ));
         }
     }
 }

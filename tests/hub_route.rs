@@ -1,10 +1,21 @@
-//! RA\*⊲ expressions and Datalog\* programs compile through the TRC hub
-//! (`Artifact::compile_with`); their answers must keep the shape the
-//! native lowerings give them — the same schema name, the same `attrs`,
-//! the same rows — since that is what the wire protocol reports. The
-//! inputs are the textbook forms, hand-picked corner cases, and random
-//! programs and expressions written directly in the two languages rather
-//! than by a translator.
+//! Every RA expression and Datalog program compiles through the TRC hub
+//! (`Artifact::compile_with`, by way of `rd_translate::eval`); its
+//! answer must keep the shape the language gives it — the schema name,
+//! the `attrs`, the rows — since that is what the wire protocol reports.
+//! The reference ("native") answer is the language's own textbook
+//! semantics: the set-semantics evaluators in `oracle/ra.rs` and
+//! `oracle/datalog.rs`, which share no code with the plan IR, the
+//! translations or the executor. The inputs are the textbook forms,
+//! hand-picked corner cases, and random programs and expressions written
+//! directly in the two languages rather than by a translator — inside
+//! the RA\*⊲ and Datalog\* fragments (one TRC branch each) and outside
+//! them (unions, disjunctive selections, non-equality antijoins, IDBs
+//! with several rules or several uses).
+
+#[path = "oracle/datalog.rs"]
+mod datalog_oracle;
+#[path = "oracle/ra.rs"]
+mod ra_oracle;
 
 use proptest::prelude::*;
 use rd_core::exec::{execute, Plan};
@@ -43,7 +54,9 @@ fn sailors_dbs(catalog: &Catalog) -> impl Iterator<Item = Database> {
 }
 
 /// The name, attributes and resolved rows of an answer.
-fn shape(rel: &Relation, db: &Database) -> (String, Vec<String>, BTreeSet<Tuple>) {
+type Shape = (String, Vec<String>, BTreeSet<Tuple>);
+
+fn shape(rel: &Relation, db: &Database) -> Shape {
     (
         rel.schema().name().to_string(),
         rel.schema().attrs().to_vec(),
@@ -51,25 +64,64 @@ fn shape(rel: &Relation, db: &Database) -> (String, Vec<String>, BTreeSet<Tuple>
     )
 }
 
-/// Runs `text` through a fresh [`Session`] and checks its answer
-/// against the native lowering's `native` plan; returns the row count.
-fn assert_session_matches_native(
-    language: Language,
-    text: &str,
-    native: Plan,
-    db: &Database,
-) -> usize {
+/// The native answer to an RA or Datalog artifact, from the oracles: an
+/// RA answer is `q` over the expression's attributes, a Datalog answer
+/// the query predicate over `x1, …, xn`.
+fn native(artifact: &Artifact, db: &Database) -> Shape {
+    match artifact {
+        Artifact::Ra(e) => {
+            let (attrs, rows) = ra_oracle::answer(e, db);
+            ("q".to_string(), attrs, rows)
+        }
+        Artifact::Datalog(p) => {
+            let arity = p
+                .rules
+                .iter()
+                .find(|r| r.head.pred == p.query)
+                .map_or(0, |r| r.head.terms.len());
+            let attrs = (1..=arity).map(|i| format!("x{i}")).collect();
+            (p.query.clone(), attrs, datalog_oracle::answer(p, db))
+        }
+        _ => unreachable!("RA and Datalog only"),
+    }
+}
+
+/// `true` for RA\*⊲ expressions and Datalog\* programs.
+fn in_fragment(artifact: &Artifact) -> bool {
+    match artifact {
+        Artifact::Ra(e) => rd_ra::is_ra_star_antijoin(e),
+        Artifact::Datalog(p) => rd_datalog::is_datalog_star(p),
+        _ => unreachable!("RA and Datalog only"),
+    }
+}
+
+/// Fragment inputs compile to a single TRC branch, as at the Theorem 6
+/// translation; the others may carry views.
+fn assert_route(artifact: &Artifact, plan: &Plan, text: &str) {
+    if in_fragment(artifact) {
+        assert!(
+            matches!(plan, Plan::Union(b) if b.len() == 1),
+            "{text} compiles to one TRC branch"
+        );
+    }
+}
+
+/// Runs `text` through a fresh [`Session`] and checks its answer and its
+/// route against the native answer; returns the row count.
+fn assert_session_matches_native(language: Language, text: &str, db: &Database) -> usize {
+    let artifact = Artifact::prepare(language, text, &db.catalog()).unwrap();
+    assert_route(&artifact, &artifact.compile(db).unwrap(), text);
     let mut session = Session::new(db.clone());
     let response = session
         .run(&QueryRequest::new(language, text))
         .unwrap_or_else(|e| panic!("{text}: {e}"));
-    let expected = execute(&native, db).unwrap();
+    let expected = native(&artifact, db);
     assert_eq!(
         shape(&response.relation, db),
-        shape(&expected, db),
+        expected,
         "{language:?} {text}"
     );
-    expected.len()
+    expected.2.len()
 }
 
 #[test]
@@ -87,16 +139,12 @@ fn textbook_forms_answer_with_their_native_shape() {
             for ra in [&four.ra, &four.ra_antijoin] {
                 assert!(rd_ra::is_ra_star_antijoin(ra), "{}", entry.id);
                 let text = rd_ra::to_ascii(ra);
-                let native = rd_ra::lower(ra, db).unwrap();
-                nonempty +=
-                    usize::from(assert_session_matches_native(Language::Ra, &text, native, db) > 0);
+                nonempty += usize::from(assert_session_matches_native(Language::Ra, &text, db) > 0);
             }
             assert!(rd_datalog::is_datalog_star(&four.datalog), "{}", entry.id);
-            let native = Plan::Program(rd_datalog::lower_program(&four.datalog, db).unwrap());
             let text = four.datalog.to_string();
-            nonempty += usize::from(
-                assert_session_matches_native(Language::Datalog, &text, native, db) > 0,
-            );
+            nonempty +=
+                usize::from(assert_session_matches_native(Language::Datalog, &text, db) > 0);
             checked += 1;
         }
     }
@@ -110,7 +158,8 @@ fn textbook_forms_answer_with_their_native_shape() {
 
 /// Datalog\* programs whose heads carry constants, repeat a variable, or
 /// pass `_` to a negated IDB, and calls that pass one variable twice: the
-/// hub translation covers them, with the native answer.
+/// hub translation covers them, with the native answer, and so do their
+/// variants with an IDB used twice or defined by two rules.
 #[test]
 fn datalog_star_corner_cases_match_native() {
     let catalog = rd_textbook::schemas::sailors();
@@ -126,17 +175,23 @@ fn datalog_star_corner_cases_match_native() {
         "I(s, 7) :- Sailors(s, _, _, _). Q(v) :- I(v, v).",
         "I(s, s) :- Reserves(_, s, _). Q(n) :- Sailors(_, n, r, _), I(r, 103).",
     ];
+    let with_views = [
+        "I(s, 103) :- Reserves(s, _, _). Q(n) :- Sailors(s, n, _, _), I(s, 103), not I(s, 1).",
+        "I(s, b) :- Reserves(s, b, _). I(s, s) :- Sailors(s, _, 10, _). \
+         Q(n) :- Sailors(s, n, _, _), not I(s, _).",
+        "I(s, r) :- Sailors(s, _, r, _). I(b, b) :- Boats(b, _, 'red'). Q(v) :- I(v, v), I(v, _).",
+        "Q(x, 1) :- Sailors(x, _, _, _). Q(x, x) :- Reserves(x, _, _).",
+    ];
     for db in sailors_dbs(&catalog) {
         for text in programs {
             let artifact = Artifact::prepare(Language::Datalog, text, &catalog).unwrap();
-            let Artifact::Datalog(program) = &artifact else {
-                unreachable!()
-            };
-            assert!(rd_datalog::is_datalog_star(program), "{text}");
-            let plan = artifact.compile(&db).unwrap();
-            assert!(matches!(plan, Plan::Union(_)), "{text} compiles via TRC");
-            let native = Plan::Program(rd_datalog::lower_program(program, &db).unwrap());
-            assert_session_matches_native(Language::Datalog, text, native, &db);
+            assert!(in_fragment(&artifact), "{text}");
+            assert_session_matches_native(Language::Datalog, text, &db);
+        }
+        for text in with_views {
+            let artifact = Artifact::prepare(Language::Datalog, text, &catalog).unwrap();
+            assert!(!in_fragment(&artifact), "{text}");
+            assert_session_matches_native(Language::Datalog, text, &db);
         }
     }
 }
@@ -148,12 +203,7 @@ fn query_predicate_named_like_a_tuple_variable() {
     let catalog = rd_textbook::schemas::sailors();
     let text = "t1(n) :- Sailors(s, n, _, _), Reserves(s, 103, _).";
     for db in sailors_dbs(&catalog) {
-        let artifact = Artifact::prepare(Language::Datalog, text, &catalog).unwrap();
-        let Artifact::Datalog(program) = &artifact else {
-            unreachable!()
-        };
-        let native = Plan::Program(rd_datalog::lower_program(program, &db).unwrap());
-        assert_session_matches_native(Language::Datalog, text, native, &db);
+        assert_session_matches_native(Language::Datalog, text, &db);
     }
 }
 
@@ -193,24 +243,34 @@ impl Draw {
     }
 }
 
-/// Random Datalog\* programs written the way a user might: callers
+/// Random Datalog programs written the way a user might: callers
 /// repeat a variable (`I(x, x)`), pass constants and `_`, and heads carry
-/// constants and repeated variables. Every IDB has one rule and one use.
+/// constants and repeated variables. Without `views` every IDB has one
+/// rule and one use (Datalog\*); with them, an IDB (the query too) may
+/// get a second rule, and a finished IDB may be used again.
 struct ProgramGen {
     draw: Draw,
     rules: Vec<String>,
     idbs: usize,
+    views: bool,
+    /// IDBs whose rules are all written, with their arities.
+    done: Vec<(String, usize)>,
 }
 
 impl ProgramGen {
-    fn program(seed: u64) -> String {
+    fn program(seed: u64, views: bool) -> String {
         let mut gen = ProgramGen {
             draw: Draw(seed),
             rules: Vec::new(),
             idbs: 0,
+            views,
+            done: Vec::new(),
         };
         let arity = 1 + gen.draw.below(2);
         gen.rule("Q", arity, 0);
+        if views && gen.draw.chance(30) {
+            gen.rule("Q", arity, 0);
+        }
         gen.rules.join("\n")
     }
 
@@ -232,13 +292,21 @@ impl ProgramGen {
         }
     }
 
-    /// A fresh IDB of random arity whose rule is written before its
-    /// caller's; returns its name and arity.
+    /// An IDB whose rules are written before its caller's — a fresh one
+    /// of random arity, or with views an already finished one; returns
+    /// its name and arity.
     fn callee(&mut self, depth: usize) -> (String, usize) {
+        if self.views && !self.done.is_empty() && self.draw.chance(40) {
+            return self.draw.pick(&self.done);
+        }
         self.idbs += 1;
         let name = format!("I{}", self.idbs);
         let arity = 1 + self.draw.below(2);
         self.rule(&name, arity, depth + 1);
+        if self.views && self.draw.chance(40) {
+            self.rule(&name, arity, depth + 1);
+        }
+        self.done.push((name.clone(), arity));
         (name, arity)
     }
 
@@ -313,19 +381,32 @@ impl ProgramGen {
 
 /// Random RA\*⊲ expressions: selections, projections, renames, products,
 /// θ- and natural joins, differences, and equality antijoins whose
-/// conditions may name one attribute on either side twice.
+/// conditions may name one attribute on either side twice. With `full`,
+/// also unions, disjunctive selections and antijoins on any comparison.
 struct ExprGen {
     draw: Draw,
     fresh: usize,
+    full: bool,
 }
 
 impl ExprGen {
-    fn expr(seed: u64) -> String {
+    fn expr(seed: u64, full: bool) -> String {
         let mut gen = ExprGen {
             draw: Draw(seed),
             fresh: 0,
+            full,
         };
         gen.sub(3).0
+    }
+
+    /// A subexpression cut down and renamed to `attrs`, or a selection
+    /// over `text` (whose schema is `attrs`) when it is too narrow.
+    fn same_schema(&mut self, depth: usize, text: &str, attrs: &[String]) -> String {
+        let (rtext, rattrs) = self.sub(depth);
+        match rattrs.len() >= attrs.len() {
+            true => self.renamed_to(&rtext, &rattrs[..attrs.len()], attrs),
+            false => format!("sigma[{}]({text})", self.condition(attrs)),
+        }
     }
 
     fn fresh(&mut self) -> String {
@@ -413,7 +494,7 @@ impl ExprGen {
             );
         }
         let (text, attrs) = self.sub(depth - 1);
-        match self.draw.below(7) {
+        match self.draw.below(if self.full { 10 } else { 7 }) {
             0 => (format!("sigma[{}]({text})", self.condition(&attrs)), attrs),
             1 => {
                 let kept: Vec<String> = attrs
@@ -445,14 +526,7 @@ impl ExprGen {
                 (format!("({text}) {op} ({rtext})"), out)
             }
             3 => {
-                // The right side: another subexpression cut down and
-                // renamed to the left's schema, or a selection over the
-                // left itself.
-                let (rtext, rattrs) = self.sub(depth - 1);
-                let right = match rattrs.len() >= attrs.len() {
-                    true => self.renamed_to(&rtext, &rattrs[..attrs.len()], &attrs),
-                    false => format!("sigma[{}]({text})", self.condition(&attrs)),
-                };
+                let right = self.same_schema(depth - 1, &text, &attrs);
                 (format!("({text}) - ({right})"), attrs)
             }
             4 | 5 => {
@@ -464,7 +538,7 @@ impl ExprGen {
                 };
                 (format!("({text}) antijoin{cond} ({rtext})"), attrs)
             }
-            _ => {
+            6 => {
                 let from = self.draw.pick(&attrs);
                 let to = self.fresh();
                 let out = attrs
@@ -473,27 +547,44 @@ impl ExprGen {
                     .collect();
                 (format!("rho[{from}->{to}]({text})"), out)
             }
+            7 => {
+                let right = self.same_schema(depth - 1, &text, &attrs);
+                (format!("({text}) union ({right})"), attrs)
+            }
+            8 => {
+                let (a, b) = (self.condition(&attrs), self.condition(&attrs));
+                let cond = match self.draw.chance(50) {
+                    true => format!("{a} or {b}"),
+                    false => format!("({a} or {b}) and ({} or {a})", self.condition(&attrs)),
+                };
+                (format!("sigma[{cond}]({text})"), attrs)
+            }
+            _ => {
+                let (rtext, rattrs) = self.sub(depth - 1);
+                let cond = self.pairs(&attrs, &rattrs, &OPS);
+                (format!("({text}) antijoin[{cond}] ({rtext})"), attrs)
+            }
         }
     }
 }
 
-/// Compiles `text` the engine's way, checks that it took the hub, and
-/// compares its answer with the `native` lowering's over `dbs` and their
-/// uninterned copies.
+/// Compiles `text` the engine's way, checks its route, and compares its
+/// answer with the native one over `dbs` and their uninterned copies.
+/// `fragment` says the generator stayed inside RA\*⊲ or Datalog\*.
 fn assert_hub_matches_native(
     language: Language,
     text: &str,
-    native: impl Fn(&Artifact, &Database) -> Plan,
+    fragment: bool,
     dbs: &mut DbGenerator,
 ) {
     let artifact = Artifact::prepare(language, text, &rst_catalog())
         .unwrap_or_else(|e| panic!("generated input must be valid: {e}\n{text}"));
-    let in_fragment = match &artifact {
-        Artifact::Ra(e) => rd_ra::is_ra_star_antijoin(e),
-        Artifact::Datalog(p) => rd_datalog::is_datalog_star(p),
-        _ => unreachable!(),
-    };
-    assert!(in_fragment, "generated outside the fragment:\n{text}");
+    if fragment {
+        assert!(
+            in_fragment(&artifact),
+            "generated outside the fragment:\n{text}"
+        );
+    }
     for round in 0..3 {
         let db = dbs.next_db();
         let mut raw = Database::uninterned();
@@ -504,12 +595,11 @@ fn assert_hub_matches_native(
             let plan = artifact
                 .compile(instance)
                 .unwrap_or_else(|e| panic!("{e}\n{text}"));
-            assert!(matches!(plan, Plan::Union(_)), "{text} compiles via TRC");
+            assert_route(&artifact, &plan, text);
             let got = execute(&plan, instance).unwrap();
-            let expected = execute(&native(&artifact, instance), instance).unwrap();
             assert_eq!(
                 shape(&got, instance),
-                shape(&expected, instance),
+                native(&artifact, instance),
                 "db {round}:\n{text}"
             );
         }
@@ -528,23 +618,69 @@ proptest! {
     /// through the hub as they do natively.
     #[test]
     fn random_datalog_star_programs_match_native(seed in 0u64..1_000_000) {
-        let text = ProgramGen::program(seed);
-        let native = |a: &Artifact, db: &Database| match a {
-            Artifact::Datalog(p) => Plan::Program(rd_datalog::lower_program(p, db).unwrap()),
-            _ => unreachable!(),
-        };
-        assert_hub_matches_native(Language::Datalog, &text, native, &mut rst_dbs(seed));
+        let text = ProgramGen::program(seed, false);
+        assert_hub_matches_native(Language::Datalog, &text, true, &mut rst_dbs(seed));
     }
 
     /// RA\*⊲ expressions written directly answer through the hub as they
     /// do natively.
     #[test]
     fn random_ra_star_antijoin_expressions_match_native(seed in 0u64..1_000_000) {
-        let text = ExprGen::expr(seed);
-        let native = |a: &Artifact, db: &Database| match a {
-            Artifact::Ra(e) => rd_ra::lower(e, db).unwrap(),
-            _ => unreachable!(),
-        };
-        assert_hub_matches_native(Language::Ra, &text, native, &mut rst_dbs(seed));
+        let text = ExprGen::expr(seed, false);
+        assert_hub_matches_native(Language::Ra, &text, true, &mut rst_dbs(seed));
     }
+
+    /// Datalog programs with IDBs of two rules or two uses answer through
+    /// their views as they do natively.
+    #[test]
+    fn random_datalog_programs_with_views_match_native(seed in 0u64..1_000_000) {
+        let text = ProgramGen::program(seed, true);
+        assert_hub_matches_native(Language::Datalog, &text, false, &mut rst_dbs(seed));
+    }
+
+    /// RA expressions with unions, disjunctive selections and antijoins
+    /// on any comparison answer through the hub as they do natively.
+    #[test]
+    fn random_ra_expressions_match_native(seed in 0u64..1_000_000) {
+        let text = ExprGen::expr(seed, true);
+        assert_hub_matches_native(Language::Ra, &text, false, &mut rst_dbs(seed));
+    }
+}
+
+/// The RA and Datalog forms the service benchmark sends (its frozen
+/// `forms.txt`, constants filled in) are all inside the fragments, so
+/// each compiles to a single TRC branch.
+#[test]
+fn benchmark_forms_compile_to_one_trc_branch() {
+    let catalog = rd_textbook::schemas::sailors();
+    let db = sailors_dbs(&catalog).next().unwrap();
+    let mut forms = 0;
+    for line in include_str!("../servicebench/forms.txt").lines() {
+        let (language, text) = match line.split('\t').collect::<Vec<_>>().as_slice() {
+            [_, "ra", text] => (Language::Ra, *text),
+            [_, "datalog", text] => (Language::Datalog, *text),
+            _ => continue,
+        };
+        let mut text = text.to_string();
+        for (placeholder, value) in [
+            ("{age}", "30"),
+            ("{bid}", "103"),
+            ("{day}", "8"),
+            ("{rating}", "7"),
+            ("{bname}", "'Interlake'"),
+            ("{color}", "'red'"),
+            ("{sname}", "'Bob'"),
+        ] {
+            text = text.replace(placeholder, value);
+        }
+        let artifact = Artifact::prepare(language, &text, &catalog).unwrap();
+        let plan = artifact.compile(&db).unwrap();
+        assert!(
+            matches!(&plan, Plan::Union(b) if b.len() == 1),
+            "{text}: {plan:?}"
+        );
+        assert_session_matches_native(language, &text, &db);
+        forms += 1;
+    }
+    assert_eq!(forms, 44);
 }

@@ -3,9 +3,14 @@
 //! evaluate identically through the interned path and through a
 //! string-resolved reference database ([`Database::uninterned`]), and the
 //! four languages must still agree with each other post-refactor. The
-//! larger cases are also checked against the textbook TRC oracle in
-//! `oracle/trc.rs`.
+//! Datalog and RA translations are checked against the textbook oracles
+//! of their own languages (`oracle/datalog.rs`, `oracle/ra.rs`), and the
+//! larger cases against the textbook TRC oracle in `oracle/trc.rs`.
 
+#[path = "oracle/datalog.rs"]
+mod datalog_oracle;
+#[path = "oracle/ra.rs"]
+mod ra_oracle;
 #[path = "oracle/trc.rs"]
 mod trc_oracle;
 
@@ -68,10 +73,20 @@ fn four_plans(q: &rd_trc::TrcQuery, cat: &Catalog, db: &Database) -> [rd_core::e
     let trc_u = rd_trc::TrcUnion::new(vec![q.clone()]).unwrap();
     [
         rd_trc::lower_union(&trc_u, db).unwrap(),
-        rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, db).unwrap()),
-        rd_ra::lower(&e, db).unwrap(),
+        lower_program(&p, db),
+        lower_ra(&e, db),
         rd_sql::lower_sql(&sql, db).unwrap(),
     ]
+}
+
+/// The engine's plan for a Datalog program, under the default planner.
+fn lower_program(p: &rd_datalog::DlProgram, db: &Database) -> rd_core::exec::Plan {
+    rd_translate::lower_program(p, db, &Default::default(), &Default::default()).unwrap()
+}
+
+/// The engine's plan for an RA expression, under the default planner.
+fn lower_ra(e: &rd_ra::RaExpr, db: &Database) -> rd_core::exec::Plan {
+    rd_translate::lower_ra(e, db, &Default::default(), &Default::default()).unwrap()
 }
 
 /// Runs `plan` over `db` and `reference_plan` over the string-resolved
@@ -187,8 +202,9 @@ proptest! {
     }
 
     /// All four languages agree on interned databases: TRC (source),
-    /// Datalog and RA (Theorem 6 translations), and SQL (evaluated via
-    /// its own front-end path).
+    /// Datalog and RA (Theorem 6 translations, each also checked against
+    /// its own language's oracle), and SQL (evaluated via its own
+    /// front-end path).
     #[test]
     fn four_languages_agree_post_refactor(seed in 0u64..20_000) {
         let q = random_query(seed);
@@ -200,12 +216,14 @@ proptest! {
         for _ in 0..2 {
             let db = gen.next_db();
             let trc_out = rd_trc::eval_query(&q, &db).unwrap();
-            let dl_out = rd_datalog::eval_program(&p, &db).unwrap();
+            let dl_out = rd_translate::eval_program(&p, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), dl_out.tuples(), "trc vs datalog");
-            let ra_out = rd_ra::eval(&e, &db).unwrap();
-            prop_assert_eq!(&trc_out.tuples().iter().cloned().collect::<Vec<_>>(),
-                            &ra_out.tuples.iter().cloned().collect::<Vec<_>>(),
-                            "trc vs ra");
+            let dl_resolved: BTreeSet<Tuple> = db.resolve_relation(&dl_out).iter().cloned().collect();
+            prop_assert_eq!(dl_resolved, datalog_oracle::answer(&p, &db), "datalog vs oracle");
+            let ra_out = rd_translate::eval_ra(&e, &db).unwrap();
+            prop_assert_eq!(trc_out.tuples(), ra_out.tuples(), "trc vs ra");
+            let ra_resolved: BTreeSet<Tuple> = db.resolve_relation(&ra_out).iter().cloned().collect();
+            prop_assert_eq!(ra_resolved, ra_oracle::answer(&e, &db).1, "ra vs oracle");
             let sql_out = rd_sql::translate::eval_sql(&sql, &db).unwrap();
             prop_assert_eq!(trc_out.tuples(), sql_out.tuples(), "trc vs sql");
         }
@@ -235,9 +253,8 @@ proptest! {
             let pairs: [(rd_core::exec::Plan, rd_core::exec::Plan); 4] = [
                 (rd_trc::lower_union(&trc_u, &db).unwrap(),
                  rd_trc::lower_union(&trc_u, &raw).unwrap()),
-                (rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, &db).unwrap()),
-                 rd_core::exec::Plan::Program(rd_datalog::lower_program(&p, &raw).unwrap())),
-                (rd_ra::lower(&e, &db).unwrap(), rd_ra::lower(&e, &raw).unwrap()),
+                (lower_program(&p, &db), lower_program(&p, &raw)),
+                (lower_ra(&e, &db), lower_ra(&e, &raw)),
                 (rd_sql::lower_sql(&sql, &db).unwrap(), rd_sql::lower_sql(&sql, &raw).unwrap()),
             ];
             let mut resolved_first: Option<rd_core::TupleSet> = None;

@@ -132,9 +132,9 @@ proptest! {
         let schema = e.schema(&catalog()).unwrap();
         let mut gen = DbGenerator::with_int_domain(catalog(), 3, 3, seed ^ 0xA11);
         let db = gen.next_db();
-        let out = rd_ra::eval(&e, &db).unwrap();
-        prop_assert_eq!(out.attrs.len(), schema.len());
-        for t in &out.tuples {
+        let out = rd_translate::eval_ra(&e, &db).unwrap();
+        prop_assert_eq!(out.schema().attrs(), schema.as_slice());
+        for t in out.iter() {
             prop_assert_eq!(t.arity(), schema.len());
         }
     }
